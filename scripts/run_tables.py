@@ -6,8 +6,8 @@ Usage:
 
 Writes table1.csv, table-osc.csv, table-piecewise.csv, table-cc.csv into
 ``outdir`` (default: ./tables). The heavy preset is table-osc, whose Simpson
-reference runs reach M = 73396; the whole batch takes on the order of a
-minute on a laptop.
+reference runs reach M = 73396; the whole batch, interpreter start included,
+takes about 0.6 s on a 2-vCPU Intel Xeon.
 """
 
 import sys

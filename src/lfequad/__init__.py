@@ -25,25 +25,23 @@ from .engine import (
     SampledFunction,
     UniformGrid,
     WindowPlan,
-    WindowResult,
     WindowSpan,
     integrate,
     integrate_small,
     plan_windows,
 )
-from .linalg import SvdFactors, matvec_adjoint, norm2, svd
 from .reference import (
     LocalExpansion,
     ModeWeights,
     ReferenceFactors,
+    SvdFactors,
     WindowConfig,
     build_reference,
     evaluate_expansion,
     integrate_expansion,
-    load_factors,
     mode_weights,
-    save_factors,
     solve_coefficients,
+    svd,
 )
 from .testbed import (
     PRESETS,

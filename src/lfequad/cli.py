@@ -94,7 +94,7 @@ def _cmd_integrate(args) -> int:
         payload = {
             "value": report.value,
             "M": samples.grid.M,
-            "windows": len(report.window_results),
+            "windows": int(report.starts.size),
             "corrected_windows": [c.window_index for c in report.corrections],
             "correction_applied": corrected,
             "imag_residue": report.imag_residue,

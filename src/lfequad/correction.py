@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import QuadratureReport, SampledFunction, plan_windows
+from .engine import QuadratureReport, SampledFunction, window_layout
 from .errors import DetectionUnavailableError, InvalidInputError, PredictionFailedError
-from .linalg import norm2
 from .reference import (
     LocalExpansion,
     ReferenceFactors,
@@ -102,7 +101,7 @@ def detect(report: QuadratureReport) -> DetectionReport:
     Needs at least three windows; with fewer, there is no meaningful median
     and the caller should keep the uncorrected result.
     """
-    etas = np.array([w.eta for w in report.window_results])
+    etas = report.etas
     if etas.size < 3:
         raise DetectionUnavailableError(
             f"detection needs >= 3 windows, got {etas.size}"
@@ -110,13 +109,6 @@ def detect(report: QuadratureReport) -> DetectionReport:
     threshold = DETECTION_RATIO * float(np.median(etas))
     flagged = tuple(int(k) for k in np.nonzero(etas > threshold)[0])
     return DetectionReport(flagged=flagged, etas=etas, threshold=threshold)
-
-
-def _window_start(samples: SampledFunction, factors: ReferenceFactors, window_index: int) -> int:
-    plan = plan_windows(samples.grid, factors.config)
-    if not 0 <= window_index < len(plan.windows):
-        raise InvalidInputError(f"window index {window_index} out of range")
-    return plan.windows[window_index].start
 
 
 def localize(
@@ -137,19 +129,18 @@ def localize(
     """
     m = factors.config.m
     M = samples.grid.M
-    start = _window_start(samples, factors, window_index)
-    vals = samples.values
-    cl = np.empty(m - 2)
-    cr = np.empty(m - 2)
-    clamped = False
-    for i in range(1, m - 1):
-        g = start + i
-        s_left = min(max(g - (m - 1), 0), M - (m - 1))
-        s_right = min(max(g, 0), M - (m - 1))
-        if s_left != g - (m - 1) or s_right != g:
-            clamped = True
-        cl[i - 1] = norm2(solve_coefficients(factors, vals[s_left : s_left + m].astype(complex)))
-        cr[i - 1] = norm2(solve_coefficients(factors, vals[s_right : s_right + m].astype(complex)))
+    starts, _ = window_layout(M, m)
+    if not 0 <= window_index < starts.size:
+        raise InvalidInputError(f"window index {window_index} out of range")
+    start = int(starts[window_index])
+    split = start + np.arange(1, m - 1)
+    s_left = np.clip(split - (m - 1), 0, M - (m - 1))
+    s_right = np.clip(split, 0, M - (m - 1))
+    clamped = bool(np.any(s_left != split - (m - 1)) or np.any(s_right != split))
+    candidates = samples.values[np.concatenate((s_left, s_right))[:, None] + np.arange(m)]
+    c = solve_coefficients(factors, candidates)
+    norms = np.linalg.norm(c, axis=1)
+    cl, cr = norms[: m - 2], norms[m - 2 :]
     i0 = int(np.argmin(cl + cr)) + 1  # ties resolve to the smallest i
     g0 = start + i0
     if cr[i0 - 1] > SIDE_RATIO * cl[i0 - 1]:
@@ -207,7 +198,7 @@ def _branch_model(
         target = location - 1
         start = min(max(location - 1, 0), M - (m - 1))
     p = target - start
-    g = samples.values[start : start + m].astype(complex)
+    g = samples.values[start : start + m].copy()
     alpha = predict_endpoint(factors, g, p)
     g[p] = alpha
     c = solve_coefficients(factors, g)
@@ -292,10 +283,8 @@ def correct(
                 f"windows {a} and {b} both flagged; expected one kink per region"
             )
     corrections: list[CorrectionResult] = []
-    new_value = 0.0
-    replaced = {}
+    contributions = report.contributions.copy()
     for k in detection.flagged:
-        span = report.window_results[k].window
         try:
             loc = localize(samples, factors, k)
             left = _branch_model(samples, factors, loc.global_cell[1], "left")
@@ -307,7 +296,7 @@ def correct(
         xi_hat, low_conf = estimate_xi(left, right, cell)
         if low_conf:
             warnings.append(f"window {k}: no sign change in branch difference, scan fallback")
-        blk_lo, blk_hi = grid.node(span.block[0]), grid.node(span.block[1])
+        blk_lo, blk_hi = (grid.node(int(j)) for j in report.blocks[k])
         xi_c = min(max(xi_hat, blk_lo), blk_hi)
         lam = config.lam
         eL = left.expansion
@@ -327,7 +316,5 @@ def correct(
                 replaced_contribution=left_int + right_int,
             )
         )
-        replaced[k] = left_int + right_int
-    for k, wr in enumerate(report.window_results):
-        new_value += replaced.get(k, wr.contribution)
-    return report.with_corrections(corrections, new_value, warnings)
+        contributions[k] = left_int + right_int
+    return report.with_corrections(corrections, float(contributions.sum()), warnings)

@@ -3,7 +3,9 @@
 The grid is partitioned into overlapping windows of m nodes (adjacent windows
 share one node, so the shift is m-1 cells). Each window is fitted with the
 precomputed reference factors and contributes the analytic integral of its
-fit over the block of cells it covers. Three grid regimes exist:
+fit over the block of cells it covers; all windows of a grid are solved as
+one stack, so the per-window work is array rows, not Python calls. Three
+grid regimes exist:
 
 * more nodes than a window: full windows every m-1 cells, plus, when M is not
   divisible by m-1, one tail window that reuses the last m nodes (borrowing
@@ -21,13 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GridError, InvalidInputError
-from .linalg import norm2
 from .reference import (
     ReferenceFactors,
     WindowConfig,
     build_reference,
-    integrate_expansion,
-    LocalExpansion,
     mode_weights,
     solve_coefficients,
 )
@@ -103,24 +102,23 @@ class WindowPlan:
 
 
 @dataclass(frozen=True)
-class WindowResult:
-    window: WindowSpan
-    coefficients: np.ndarray
-    eta: float  # coefficient energy ||c||_2
-    contribution: float
-
-
-@dataclass(frozen=True)
 class QuadratureReport:
-    """Total value plus per-window diagnostics.
+    """Total value plus per-window diagnostics, one array row per window.
 
-    ``value`` already includes any corrections; ``window_results`` keeps the
-    original (uncorrected) per-window contributions and coefficient energies,
-    which is what makes re-running the corrector a no-op.
+    ``starts[k]`` is window k's first node and ``blocks[k]`` the node pair
+    (lo, hi) of the cells it contributes; ``coefficients[k]`` holds its fit,
+    ``etas[k]`` the coefficient energy ||c||_2 and ``contributions[k]`` the
+    real part of its integral. ``value`` already includes any corrections;
+    the arrays keep the original (uncorrected) per-window data, which is
+    what makes re-running the corrector a no-op.
     """
 
     value: float
-    window_results: tuple[WindowResult, ...]
+    starts: np.ndarray
+    blocks: np.ndarray
+    coefficients: np.ndarray
+    etas: np.ndarray
+    contributions: np.ndarray
     corrections: tuple = ()
     config_used: WindowConfig = WindowConfig()
     imag_residue: float = 0.0
@@ -135,30 +133,43 @@ class QuadratureReport:
         )
 
 
-def plan_windows(grid: UniformGrid, config: WindowConfig) -> WindowPlan:
-    """Decompose the grid into windows whose covered blocks tile [a, b] exactly.
+def window_layout(M: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """First node and covered block (lo, hi) of every window of an M-cell grid.
 
-    Block bookkeeping is integer node counting, so the tiling has no float
-    drift by construction.
+    Block k starts at node k*(m-1). Full windows start at their block and
+    cover m-1 cells; when m-1 does not divide M, the last block is shorter
+    and its tail window reuses the last m nodes. A grid with fewer than m
+    nodes has one small window over all of it. Block bookkeeping is integer
+    node counting, so the blocks tile [0, M] with no float drift.
     """
-    m = config.m
-    M = grid.M
     shift = m - 1
-    windows: list[WindowSpan] = []
-    if M + 1 < m:
-        windows.append(WindowSpan(start=0, kind="small", t_lo=0.0, block=(0, M)))
-    else:
-        nfull = M // shift
-        for k in range(nfull):
-            s = k * shift
-            windows.append(WindowSpan(start=s, kind="full", t_lo=0.0, block=(s, s + shift)))
-        r = M % shift
-        if r > 0:
-            t_lo = config.lam * (shift - r) / shift
-            windows.append(
-                WindowSpan(start=M - shift, kind="tail", t_lo=t_lo, block=(M - r, M))
-            )
-    return WindowPlan(grid=grid, config=config, windows=tuple(windows))
+    lo = np.arange(-(-M // shift)) * shift
+    blocks = np.stack((lo, np.minimum(lo + shift, M)), axis=1)
+    starts = np.maximum(np.minimum(lo, M - shift), 0)
+    return starts, blocks
+
+
+def plan_windows(grid: UniformGrid, config: WindowConfig) -> WindowPlan:
+    """Decompose the grid into windows whose covered blocks tile [a, b] exactly."""
+    shift = config.m - 1
+    starts, blocks = window_layout(grid.M, config.m)
+    small = grid.M + 1 < config.m
+    windows = tuple(
+        WindowSpan(
+            start=s,
+            kind="small" if small else "full" if lo == s else "tail",
+            t_lo=config.lam * (lo - s) / shift,
+            block=(lo, hi),
+        )
+        for s, (lo, hi) in zip(starts.tolist(), blocks.tolist())
+    )
+    return WindowPlan(grid=grid, config=config, windows=windows)
+
+
+def _coefficient_norms(c: np.ndarray) -> np.ndarray:
+    """Row norms of a complex stack without a full-size temporary."""
+    re, im = c.real, c.imag
+    return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
 
 
 def integrate_small(samples: SampledFunction, config: WindowConfig) -> QuadratureReport:
@@ -174,22 +185,25 @@ def integrate_small(samples: SampledFunction, config: WindowConfig) -> Quadratur
     if grid.M + 1 < 3:
         raise GridError(f"need at least 3 nodes, got {grid.M + 1}")
     sub = WindowConfig(n=grid.M // 2, m=grid.M + 1, T=config.T, epsilon=config.epsilon)
-    factors = build_reference(sub)
-    c = solve_coefficients(factors, samples.values.astype(complex))
+    starts, blocks = window_layout(grid.M, config.m)
+    c = solve_coefficients(build_reference(sub), samples.values[None, :])
     scale = (sub.T / (2.0 * np.pi)) * (grid.b - grid.a)
-    expansion = LocalExpansion(coefficients=c, scale=scale, origin=grid.a, L=sub.L)
-    q = integrate_expansion(expansion, mode_weights(sub, 0.0))
-    result = WindowResult(
-        window=WindowSpan(start=0, kind="small", t_lo=0.0, block=(0, grid.M)),
-        coefficients=c,
-        eta=norm2(c),
-        contribution=q.real,
-    )
+    q = scale * (c @ mode_weights(sub, 0.0).weights) / np.sqrt(sub.L)
+    return _report(q, c, starts, blocks, config)
+
+
+def _report(q, c, starts, blocks, config) -> QuadratureReport:
+    """Report of window integrals ``q`` (complex) from the fits ``c``."""
+    contributions = q.real.copy()
     return QuadratureReport(
-        value=q.real,
-        window_results=(result,),
+        value=float(contributions.sum()),
+        starts=starts,
+        blocks=blocks,
+        coefficients=c,
+        etas=_coefficient_norms(c),
+        contributions=contributions,
         config_used=config,
-        imag_residue=abs(q.imag),
+        imag_residue=float(abs(q.imag.sum())),
     )
 
 
@@ -229,27 +243,23 @@ def integrate(
             f"(n={config.n}, m={config.m}, T={config.T})"
         )
     grid = samples.grid
-    plan = plan_windows(grid, config)
-    scale = (config.T / (2.0 * np.pi)) * (config.m - 1) * grid.h
-    w_full = mode_weights(config, 0.0)
-    results = []
-    total = 0.0 + 0.0j
-    for span in plan.windows:
-        # windows copy their slice: solves are independent and parallelizable
-        g = samples.values[span.start : span.start + config.m].astype(complex)
-        c = solve_coefficients(factors, g, config.epsilon)
-        w = w_full if span.kind == "full" else mode_weights(config, span.t_lo)
-        expansion = LocalExpansion(
-            coefficients=c, scale=scale, origin=grid.node(span.start), L=factors.L
-        )
-        q = integrate_expansion(expansion, w)
-        results.append(
-            WindowResult(window=span, coefficients=c, eta=norm2(c), contribution=q.real)
-        )
-        total += q
-    return QuadratureReport(
-        value=total.real,
-        window_results=tuple(results),
-        config_used=config,
-        imag_residue=abs(total.imag),
-    )
+    m, shift = config.m, config.m - 1
+    starts, blocks = window_layout(grid.M, m)
+    # full windows as a strided view of the samples (adjacent ones share a
+    # node); a tail window goes in as one extra row. The view is built with
+    # the ndarray constructor: sliding_window_view reads __array_interface__,
+    # which retains memory on every call under numpy 2.4.
+    values = np.ascontiguousarray(samples.values)
+    step = values.itemsize
+    windows = np.ndarray((grid.M // shift, m), float, values, 0, (shift * step, step))
+    tail = starts.size > windows.shape[0]
+    if tail:
+        windows = np.concatenate((windows, values[None, -m:]))
+    c = solve_coefficients(factors, windows, config.epsilon)
+    del windows  # free the gathered copy before the weight products
+    q = c @ mode_weights(config, 0.0).weights
+    if tail:
+        t_lo = config.lam * int(blocks[-1, 0] - starts[-1]) / shift
+        q[-1] = c[-1] @ mode_weights(config, t_lo).weights
+    scale = (config.T / (2.0 * np.pi)) * shift * grid.h
+    return _report(scale * q / np.sqrt(factors.L), c, starts, blocks, config)

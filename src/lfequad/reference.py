@@ -10,16 +10,12 @@ are available in closed form, which is what makes the quadrature accurate.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidInputError
-from .linalg import SvdFactors, matvec_adjoint, svd
-
-_CACHE_MAGIC = b"LFEQREF1"
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,39 @@ class WindowConfig:
     @property
     def modes(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1)
+
+
+@dataclass(frozen=True)
+class SvdFactors:
+    """Thin SVD ``a = u @ diag(sigma) @ v.conj().T``.
+
+    ``u`` is (rows, r), ``v`` is (cols, r), ``sigma`` is (r,) sorted
+    descending with r = min(rows, cols). Columns of ``u`` and ``v`` are
+    orthonormal to roundoff.
+    """
+
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.sigma.size
+
+
+def svd(a: np.ndarray) -> SvdFactors:
+    """Factor a complex matrix, singular values in descending order.
+
+    Deterministic for identical input: the same bits in give the same bits
+    out on a given build. Non-finite entries are rejected.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise InvalidInputError(f"expected a 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    return SvdFactors(u=u, sigma=sigma, v=vh.conj().T)
 
 
 @dataclass(frozen=True)
@@ -140,7 +169,12 @@ def mode_weights(config: WindowConfig, t_lo: float, t_hi: float | None = None) -
 def solve_coefficients(
     factors: ReferenceFactors, samples: np.ndarray, epsilon: float | None = None
 ) -> np.ndarray:
-    """Truncated-SVD solve for the window coefficients.
+    """Truncated-SVD solve for window coefficients, one window or a stack.
+
+    ``samples`` is one window of m values or a (k, m) stack of windows; the
+    result is (2n+1,) or (k, 2n+1) accordingly. Real samples are projected
+    with a real product against the interleaved real and imaginary parts of
+    the left basis, so they are never copied to complex.
 
     The three stages run separately, in this order: project the data onto the
     left singular basis, rescale the retained directions, synthesize with the
@@ -158,19 +192,26 @@ def solve_coefficients(
         epsilon = factors.config.epsilon
     if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    g = np.asarray(samples, dtype=complex)
-    if g.shape != (factors.config.m,):
+    g = np.asarray(samples)
+    real = not np.iscomplexobj(g)
+    g = g.astype(float if real else complex, copy=False)
+    if g.ndim not in (1, 2) or g.shape[-1] != factors.config.m:
         raise DimensionMismatchError(
-            f"expected {factors.config.m} samples, got shape {g.shape}"
+            f"expected {factors.config.m} samples per window, got shape {g.shape}"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InvalidInputError("samples contain non-finite values")
     f = factors.svd
-    y = matvec_adjoint(f.u, g)
     keep = f.sigma * np.sqrt(factors.L) > epsilon
-    z = np.zeros_like(y)
-    z[keep] = y[keep] / f.sigma[keep]
-    return f.v @ z
+    u_adj = np.ascontiguousarray(f.u[:, keep].conj())
+    if real:
+        # the float view of u_adj holds (re, im) pairs, so the real product
+        # comes out as the complex projection laid out pairwise
+        y = (g @ u_adj.view(float)).view(complex)
+    else:
+        y = g @ u_adj
+    y /= f.sigma[keep]
+    return y @ f.v[:, keep].T
 
 
 @dataclass(frozen=True)
@@ -219,33 +260,3 @@ def integrate_expansion(expansion: LocalExpansion, weights: ModeWeights) -> comp
         )
     return complex(expansion.scale * (weights.weights @ c) / np.sqrt(expansion.L))
 
-
-def save_factors(factors: ReferenceFactors, path) -> None:
-    """Serialize factors to a small versioned binary cache keyed by (n, m, T)."""
-    c = factors.config
-    f = factors.svd
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<qqd", c.n, c.m, float(c.T)))
-        for arr in (f.u, f.sigma.astype(complex), f.v):
-            fh.write(np.ascontiguousarray(arr, dtype=np.complex128).tobytes())
-
-
-def load_factors(path, epsilon: float = 1e-15) -> ReferenceFactors:
-    """Read a cache written by save_factors; rebuilds the node matrix from (n, m, T)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise InvalidInputError(f"not a factors cache: bad magic {magic!r}")
-        n, m, T = struct.unpack("<qqd", fh.read(24))
-        config = WindowConfig(n=n, m=m, T=T, epsilon=epsilon)
-        r = min(m, 2 * n + 1)
-        u = np.frombuffer(fh.read(16 * m * r), dtype=np.complex128).reshape(m, r)
-        sigma = np.frombuffer(fh.read(16 * r), dtype=np.complex128).real.copy()
-        v = np.frombuffer(fh.read(16 * (2 * n + 1) * r), dtype=np.complex128).reshape(2 * n + 1, r)
-        lam = config.lam
-        t = np.arange(m) * (lam / (m - 1))
-        matrix = np.exp(1j * np.outer(t, config.modes)) / np.sqrt(config.L)
-    return ReferenceFactors(
-        config=config, matrix=matrix, svd=SvdFactors(u=u, sigma=sigma, v=v), L=config.L
-    )

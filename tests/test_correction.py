@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -6,6 +8,7 @@ from lfequad import (
     BranchModel,
     LocalExpansion,
     SampledFunction,
+    SvdFactors,
     correct,
     detect,
     estimate_xi,
@@ -20,7 +23,6 @@ from lfequad.errors import (
     InvalidInputError,
     PredictionFailedError,
 )
-from lfequad.linalg import SvdFactors
 
 
 def _report(fid, params, M, config):
@@ -47,9 +49,7 @@ class TestDetect:
         _, samples, rep = _report(fid, params, 160, config)
         det = detect(rep)
         assert len(det.flagged) == 1
-        span = rep.window_results[det.flagged[0]].window
-        lo = samples.grid.node(span.block[0])
-        hi = samples.grid.node(span.block[1])
+        lo, hi = (samples.grid.node(int(j)) for j in rep.blocks[det.flagged[0]])
         assert lo < point < hi
 
     @pytest.mark.parametrize("fid,params", [("f7", {"xi": 0.5}), ("f8", {"zeta": 0.25})])
@@ -117,6 +117,18 @@ class TestLocalize:
         i0 = loc.split_index
         assert loc.cr_norms[i0 - 1] > 1e2 * loc.cl_norms[i0 - 1]
         assert loc.global_cell == (201, 202)
+
+    def test_candidates_solved_in_one_call(self, config, factors, monkeypatch):
+        _, samples, rep = _report("f7", {"xi": 0.3}, 160, config)
+        shapes = []
+
+        def recorded(factors, samples, *args):
+            shapes.append(np.shape(samples))
+            return solve_coefficients(factors, samples, *args)
+
+        monkeypatch.setattr("lfequad.correction.solve_coefficients", recorded)
+        localize(samples, factors, detect(rep).flagged[0])
+        assert shapes == [(2 * (config.m - 2), config.m)]
 
     def test_bad_window_index(self, config, factors):
         _, samples, rep = _report("f7", {"xi": 0.3}, 160, config)
@@ -226,8 +238,8 @@ class TestCorrect:
         assert samples.grid.node(lo) <= c.xi_hat <= samples.grid.node(hi)
         # value = sum of contributions with the flagged one swapped out
         expected = sum(
-            (c.replaced_contribution if k == c.window_index else w.contribution)
-            for k, w in enumerate(corrected.window_results)
+            (c.replaced_contribution if k == c.window_index else w)
+            for k, w in enumerate(corrected.contributions)
         )
         assert corrected.value == pytest.approx(expected, rel=1e-14)
 
@@ -248,6 +260,28 @@ class TestCorrect:
         entry, samples, rep = _report("f7", {"xi": np.pi / 5}, 320, config)
         corrected = correct(rep, samples, factors)
         assert abs(corrected.value - entry.exact_integral) <= 1e-12
+
+    def test_repeated_calls_retain_no_memory(self, config, factors):
+        # the window gathers must not go through numpy paths that keep
+        # memory per call (as_strided via __array_interface__ in numpy 2.4)
+        _, samples, rep = _report("f7", {"xi": 0.3}, 166, config)
+        window = detect(rep).flagged[0]
+
+        def run():
+            integrate(samples, config)
+            localize(samples, factors, window)
+
+        for _ in range(20):
+            run()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(500):
+                run()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 500 * 8
 
     def test_prediction_failure_leaves_window_uncorrected(self, config, factors, monkeypatch):
         entry, samples, rep = _report("f7", {"xi": 0.3}, 160, config)

@@ -10,6 +10,7 @@ from lfequad import (
     integrate,
     integrate_small,
     plan_windows,
+    solve_coefficients,
 )
 from lfequad.errors import ConfigError, GridError, InvalidInputError
 
@@ -109,13 +110,38 @@ class TestIntegrate:
 
     def test_eta_is_coefficient_norm(self, config):
         rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, 40), config)
-        for w in rep.window_results:
-            assert w.eta == pytest.approx(np.linalg.norm(w.coefficients), rel=1e-15)
+        for eta, c in zip(rep.etas, rep.coefficients):
+            assert eta == pytest.approx(np.linalg.norm(c), rel=1e-15)
 
     def test_value_is_sum_of_contributions(self, config):
         rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, 70), config)
-        total = sum(w.contribution for w in rep.window_results)
-        assert rep.value == pytest.approx(total, rel=1e-14)
+        assert rep.value == pytest.approx(rep.contributions.sum(), rel=1e-14)
+
+    def test_scalars_are_python_floats(self, config):
+        rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, 70), config)
+        assert type(rep.value) is float
+        assert type(rep.imag_residue) is float
+
+    @pytest.mark.parametrize("M", [10, 20, 46, 60])
+    def test_one_solve_per_call(self, config, monkeypatch, M):
+        shapes = []
+
+        def recorded(factors, samples, *args):
+            shapes.append(np.shape(samples))
+            return solve_coefficients(factors, samples, *args)
+
+        monkeypatch.setattr("lfequad.engine.solve_coefficients", recorded)
+        rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, M), config)
+        assert shapes == [(rep.etas.size, min(M + 1, config.m))]
+
+    @pytest.mark.parametrize("M", [10, 20, 46, 60, 79])
+    def test_report_rows_follow_the_plan(self, config, M):
+        rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, M), config)
+        plan = plan_windows(UniformGrid(0.1, 1.5, M), config)
+        assert rep.starts.tolist() == [w.start for w in plan.windows]
+        assert [tuple(b) for b in rep.blocks.tolist()] == [w.block for w in plan.windows]
+        nw = len(plan.windows)
+        assert rep.coefficients.shape[0] == rep.etas.size == rep.contributions.size == nw
 
     def test_mismatched_factors_rejected(self, config):
         other = build_reference(WindowConfig(n=3, m=7))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lfequad import matvec_adjoint, norm2, svd
-from lfequad.errors import DimensionMismatchError, InvalidInputError
+from lfequad import svd
+from lfequad.errors import InvalidInputError
 
 # Singular values of the default 21x21 reference matrix, computed once with
 # mpmath at 60 significant digits (see scripts/svd_oracle.py). Double
@@ -84,39 +84,3 @@ class TestSvd:
         s1 = svd(a).sigma
         s2 = svd(a.conj().T).sigma
         np.testing.assert_allclose(s1, s2, rtol=1e-13, atol=1e-13)
-
-
-class TestMatvecAdjoint:
-    def test_identity(self, rng):
-        x = _random_complex(rng, 4, 1)[:, 0]
-        np.testing.assert_allclose(matvec_adjoint(np.eye(4), x), x)
-
-    def test_conjugates(self):
-        np.testing.assert_allclose(matvec_adjoint(np.array([[1j]]), np.array([1.0])), [-1j])
-
-    def test_matches_naive_loop(self, rng):
-        a = _random_complex(rng, 5, 3)
-        x = _random_complex(rng, 5, 1)[:, 0]
-        naive = np.array(
-            [sum(np.conj(a[i, j]) * x[i] for i in range(5)) for j in range(3)]
-        )
-        got = matvec_adjoint(a, x)
-        assert np.max(np.abs(got - naive)) <= 1e-15 * np.max(np.abs(naive))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matvec_adjoint(np.eye(3), np.ones(4))
-
-
-class TestNorm2:
-    def test_zeros(self):
-        assert norm2(np.zeros(3)) == 0.0
-
-    def test_three_four(self):
-        assert norm2(np.array([3.0, 4.0j])) == pytest.approx(5.0, abs=1e-15)
-
-    @given(n=st.integers(1, 64), seed=st.integers(0, 2**31 - 1))
-    def test_matches_naive_sum_of_squares(self, n, seed):
-        x = _random_complex(np.random.default_rng(seed), n, 1)[:, 0]
-        naive = np.sqrt(sum(abs(v) ** 2 for v in x))
-        assert abs(norm2(x) - naive) <= 1e-15 * max(naive, 1.0)

@@ -5,13 +5,14 @@ from scipy.integrate import quad
 
 from lfequad import (
     LocalExpansion,
+    SampledFunction,
     WindowConfig,
     build_reference,
     evaluate_expansion,
+    integrate,
     integrate_expansion,
-    load_factors,
     mode_weights,
-    save_factors,
+    registry_lookup,
     solve_coefficients,
 )
 from lfequad.errors import ConfigError, DimensionMismatchError, InvalidInputError
@@ -62,24 +63,6 @@ class TestBuildReference:
         assert np.array_equal(a.svd.u, b.svd.u)
         assert np.array_equal(a.svd.sigma, b.svd.sigma)
         assert np.array_equal(a.svd.v, b.svd.v)
-
-    def test_cache_roundtrip(self, factors, tmp_path):
-        path = tmp_path / "ref.bin"
-        save_factors(factors, path)
-        back = load_factors(path)
-        assert back.config.n == factors.config.n
-        assert back.config.m == factors.config.m
-        assert back.config.T == factors.config.T
-        np.testing.assert_array_equal(back.svd.u, factors.svd.u)
-        np.testing.assert_array_equal(back.svd.sigma, factors.svd.sigma)
-        np.testing.assert_array_equal(back.svd.v, factors.svd.v)
-        np.testing.assert_allclose(back.matrix, factors.matrix, atol=1e-16)
-
-    def test_cache_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a cache at all")
-        with pytest.raises(InvalidInputError):
-            load_factors(path)
 
 
 class TestModeWeights:
@@ -163,6 +146,42 @@ class TestSolveCoefficients:
         loose = np.linalg.norm(solve_coefficients(factors, g, 1e-8))
         tight = np.linalg.norm(solve_coefficients(factors, g, 1e-15))
         assert tight >= loose
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_stack_matches_row_by_row(self, factors, rng, kind):
+        g = rng.normal(size=(7, 21))
+        if kind is complex:
+            g = g + 1j * rng.normal(size=(7, 21))
+        stacked = solve_coefficients(factors, g)
+        assert stacked.shape == (7, 21)
+        for row, c in zip(g, stacked):
+            single = solve_coefficients(factors, row)
+            assert np.linalg.norm(c - single) <= 1e-14 * np.linalg.norm(single)
+
+    def test_stack_shape_checked(self, factors):
+        with pytest.raises(DimensionMismatchError):
+            solve_coefficients(factors, np.zeros((3, 20)))
+        with pytest.raises(DimensionMismatchError):
+            solve_coefficients(factors, np.zeros((2, 3, 21)))
+
+    @pytest.mark.parametrize("M", [200, 206, 219])  # M mod 20 = 0, 6, 19
+    def test_window_loop_matches_batched_contributions(self, config, factors, M):
+        entry = registry_lookup("f1", {})
+        samples = SampledFunction.from_function(entry.evaluator, *entry.domain, M)
+        report = integrate(samples, config)
+        grid = samples.grid
+        scale = (config.T / (2 * np.pi)) * (config.m - 1) * grid.h
+        loop = []
+        for start, (lo, _) in zip(report.starts.tolist(), report.blocks.tolist()):
+            c = solve_coefficients(factors, samples.values[start : start + config.m])
+            t_lo = config.lam * (lo - start) / (config.m - 1)
+            expansion = LocalExpansion(c, scale, grid.node(start), factors.L)
+            loop.append(integrate_expansion(expansion, mode_weights(config, t_lo)).real)
+        loop = np.array(loop)
+        assert report.contributions.shape == loop.shape
+        tol = 1e-14 * np.max(np.abs(loop))
+        assert np.max(np.abs(report.contributions - loop)) <= tol
+        assert abs(report.value - loop.sum()) <= 1e-14 * abs(report.value)
 
 
 def _expansion_from_samples(factors, samples, origin=0.4, h=0.01):
