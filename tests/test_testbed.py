@@ -1,4 +1,9 @@
 import math
+import re
+import time
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from lfequad.errors import (
     UnknownFunctionError,
     UnsortedDataError,
 )
-from lfequad.testbed import CSV_HEADER, rows_to_csv, rows_to_json
+from lfequad import testbed
+from lfequad.testbed import CSV_HEADER, METHODS, rows_to_csv, rows_to_json
 
 CANONICAL = [
     ("f1", {}),
@@ -106,6 +112,101 @@ class TestIngest:
         lines = [f"{x!r},1.0" for x in xs]
         with pytest.raises(NonUniformSpacingError):
             ingest_samples(self._write(tmp_path, lines))
+
+    def test_decimal_grid_accepted(self, tmp_path):
+        # x written to 7 decimals deviates from a fitted grid by ~1e-11 h at
+        # 1e5 rows: rounding of the x values, not non-uniform data
+        n = 100_001
+        lines = [f"{j * 1e-5:.7f},1.0" for j in range(n)]
+        s = ingest_samples(self._write(tmp_path, lines))
+        assert s.grid.M == n - 1
+        assert s.grid.b == 1.0
+
+    def test_numeric_first_line_is_data(self, tmp_path):
+        s = ingest_samples(self._write(tmp_path, ["0.0,7.0", "0.5,8.0", "1.0,9.0"]))
+        assert s.grid.a == 0.0
+        assert s.values.tolist() == [7.0, 8.0, 9.0]
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["plain", "header", "crlf", "crlf_header", "padded", "blank_lines"],
+    )
+    def test_accepted_layouts_parse_alike(self, tmp_path, layout):
+        xs = [0.1 * j for j in range(11)]
+        fs = [math.exp(x) for x in xs]
+        lines = [f"{x!r},{f!r}" for x, f in zip(xs, fs)]
+        if layout == "padded":
+            lines = [f"  {x!r} ,\t{f!r} " for x, f in zip(xs, fs)]
+        if layout == "blank_lines":
+            lines = ["", lines[0], "", ""] + lines[1:] + [""]
+        if "header" in layout:
+            lines = ["x, f"] + lines
+        path = tmp_path / "data.csv"
+        newline = "\r\n" if layout.startswith("crlf") else "\n"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        s = ingest_samples(path)
+        assert (s.grid.a, s.grid.b, s.grid.M) == (xs[0], xs[-1], 10)
+        assert s.values.tolist() == fs
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ("zap,1.0", "non-numeric"),
+            ("0.3,1.0,7", "two comma-separated columns"),
+            ("# a comment", "two comma-separated columns"),
+            ("0.3,", "non-numeric"),
+            ("   ", "two comma-separated columns"),
+        ],
+        ids=["non_numeric", "ragged", "comment", "empty_field", "spaces_only"],
+    )
+    def test_bad_line_is_named(self, tmp_path, bad, reason):
+        # header and blank lines count: the bad line is file line 6
+        lines = ["x,f", "0.0,1.0", "", "0.1,1.0", "0.2,1.0", bad, "0.4,1.0"]
+        path = self._write(tmp_path, lines)
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:6: .*{reason}"):
+            ingest_samples(path)
+
+    @pytest.mark.parametrize("header", [b"", b"x,f\n"], ids=["no_header", "header"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, header):
+        # a BOM glued to a numeric first line must not turn it into a header
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"0.0,7.0\n0.5,8.0\n1.0,9.0\n")
+        s = ingest_samples(path)
+        assert s.grid.a == 0.0
+        assert s.values.tolist() == [7.0, 8.0, 9.0]
+
+    def test_undecodable_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0.0,1.0\n0.1,\xff\n0.2,1.0\n")
+        with pytest.raises(ParseError, match=":2: "):
+            ingest_samples(path)
+
+    def test_nan_abscissa_rejected(self, tmp_path):
+        with pytest.raises(NonUniformSpacingError):
+            ingest_samples(self._write(tmp_path, ["0.0,1.0", "nan,1.0", "0.2,1.0"]))
+
+    @pytest.mark.parametrize("lines", [["x,f"], [""]])
+    def test_no_rows_rejected_without_warning(self, tmp_path, lines):
+        path = self._write(tmp_path, lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewSamplesError):
+                ingest_samples(path)
+
+    def test_peak_memory_is_a_few_times_the_output(self, tmp_path):
+        # the output arrays take 16 B/row (x checked, f kept); a reader that
+        # holds a Python float pair per row peaks near 15x that
+        n = 100_001
+        x = np.linspace(0.0, 1.0, n)
+        lines = ["x,f"] + [f"{a!r},{b!r}" for a, b in zip(x.tolist(), np.sin(x).tolist())]
+        path = self._write(tmp_path, lines)
+        tracemalloc.start()
+        try:
+            ingest_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 16 * n
 
     def test_two_rows_rejected(self, tmp_path):
         with pytest.raises(TooFewSamplesError):
@@ -208,6 +309,22 @@ class TestSweeps:
         rows = {r.method: r for r in run_sweep(spec)}
         assert rows["lfe"].abs_error > 1e-8
         assert rows["lfe_corrected"].abs_error <= 1e-12
+
+    def test_runtime_excludes_sampling(self, monkeypatch):
+        # lfe, lfe_corrected and simpson get samples made before the clock;
+        # cc evaluates f at its own nodes, inside the clock
+        entry = registry_lookup("f1")
+
+        def slow(x):
+            time.sleep(0.2)
+            return entry.evaluator(x)
+
+        slow_entry = replace(entry, evaluator=slow)
+        monkeypatch.setattr(testbed, "registry_lookup", lambda fid, params: slow_entry)
+        rows = {r.method: r for r in run_sweep(SweepSpec("f1", (), (40,), METHODS))}
+        for method in ("lfe", "lfe_corrected", "simpson"):
+            assert rows[method].runtime_ms < 100
+        assert rows["cc"].runtime_ms >= 200
 
     def test_corrected_method_falls_back_on_tiny_grids(self):
         # two windows only: detection unavailable, value stays uncorrected
