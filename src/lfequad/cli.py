@@ -41,6 +41,7 @@ EXIT_CODES = {
     "dimension-mismatch": 4,
     "unsupported-grid": 4,
     "invalid-grid": 4,
+    "non-finite-result": 4,
     "detection-unavailable": 5,
     "prediction-failed": 5,
     "unknown-function": 6,

@@ -99,7 +99,10 @@ def detect(report: QuadratureReport) -> DetectionReport:
     """Flag windows whose coefficient energy is an outlier over the median.
 
     Needs at least three windows; with fewer, there is no meaningful median
-    and the caller should keep the uncorrected result.
+    and the caller should keep the uncorrected result. The same holds when
+    the energies left the float range: a non-finite threshold (energies
+    overflowed) or all-zero energies beside a nonzero window integral
+    (energies underflowed) cannot tell a kink from a smooth window.
     """
     etas = report.etas
     if etas.size < 3:
@@ -107,6 +110,14 @@ def detect(report: QuadratureReport) -> DetectionReport:
             f"detection needs >= 3 windows, got {etas.size}"
         )
     threshold = DETECTION_RATIO * float(np.median(etas))
+    if not np.isfinite(threshold):
+        raise DetectionUnavailableError(
+            f"detection threshold is {threshold}: coefficient energies overflowed"
+        )
+    if not etas.any() and report.contributions.any():
+        raise DetectionUnavailableError(
+            "coefficient energies underflowed to zero beside nonzero window integrals"
+        )
     flagged = tuple(int(k) for k in np.nonzero(etas > threshold)[0])
     return DetectionReport(flagged=flagged, etas=etas, threshold=threshold)
 
@@ -221,7 +232,8 @@ def estimate_xi(
     """Root of (left branch - right branch) inside the bracketing cell.
 
     Bisection when the difference changes sign over the cell, to an absolute
-    tolerance of 1e-14 of the cell width. Without a sign change (kink at a
+    tolerance of 1e-14 of the cell width or until the bracket is two
+    adjacent floats, whichever comes first. Without a sign change (kink at a
     node, or numerically identical branches) the estimate falls back to the
     argmin of |difference| over an endpoint-inclusive scan and is marked
     low-confidence.
@@ -245,6 +257,8 @@ def estimate_xi(
         tol = 1e-14 * (hi - lo)
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break  # a and b are adjacent floats: no step can move them
             d_mid = diff(mid)
             if d_mid == 0.0:
                 return mid, False

@@ -18,11 +18,12 @@ grid regimes exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, GridError, InvalidInputError
+from .errors import ConfigError, GridError, InvalidInputError, NonFiniteResultError
 from .reference import (
     ReferenceFactors,
     WindowConfig,
@@ -167,9 +168,23 @@ def plan_windows(grid: UniformGrid, config: WindowConfig) -> WindowPlan:
 
 
 def _coefficient_norms(c: np.ndarray) -> np.ndarray:
-    """Row norms of a complex stack without a full-size temporary."""
-    re, im = c.real, c.imag
-    return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+    """Row norms of a complex stack, summed over its (re, im) float view."""
+    cf = c.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", cf, cf))
+
+
+def _window_integrals(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Integrals ``c @ w`` as (re, im) pairs, from one real product.
+
+    The float view of c interleaves (re, im), so the (2p, 2) matrix with
+    rows (Re w, Im w) and (-Im w, Re w) per mode maps each row of c to the
+    real and imaginary part of its weighted sum.
+    """
+    pairs = np.empty((w.size, 2, 2))
+    pairs[:, 0, 0] = pairs[:, 1, 1] = w.real
+    pairs[:, 0, 1] = w.imag
+    pairs[:, 1, 0] = -w.imag
+    return c.view(float) @ pairs.reshape(-1, 2)
 
 
 def integrate_small(samples: SampledFunction, config: WindowConfig) -> QuadratureReport:
@@ -188,22 +203,31 @@ def integrate_small(samples: SampledFunction, config: WindowConfig) -> Quadratur
     starts, blocks = window_layout(grid.M, config.m)
     c = solve_coefficients(build_reference(sub), samples.values[None, :])
     scale = (sub.T / (2.0 * np.pi)) * (grid.b - grid.a)
-    q = scale * (c @ mode_weights(sub, 0.0).weights) / np.sqrt(sub.L)
+    q = scale * _window_integrals(c, mode_weights(sub, 0.0).weights) / np.sqrt(sub.L)
     return _report(q, c, starts, blocks, config)
 
 
 def _report(q, c, starts, blocks, config) -> QuadratureReport:
-    """Report of window integrals ``q`` (complex) from the fits ``c``."""
-    contributions = q.real.copy()
+    """Report of window integrals ``q`` ((re, im) pairs) from the fits ``c``.
+
+    A non-finite total means the data's scale overflowed the solve or the
+    weighted sums; it is raised, never returned.
+    """
+    contributions = q[:, 0].copy()
+    value = float(contributions.sum())
+    if not math.isfinite(value):
+        raise NonFiniteResultError(
+            f"quadrature value is {value}: the sample magnitudes overflow the window fits"
+        )
     return QuadratureReport(
-        value=float(contributions.sum()),
+        value=value,
         starts=starts,
         blocks=blocks,
         coefficients=c,
         etas=_coefficient_norms(c),
         contributions=contributions,
         config_used=config,
-        imag_residue=float(abs(q.imag.sum())),
+        imag_residue=float(abs(q[:, 1].sum())),
     )
 
 
@@ -229,6 +253,12 @@ def integrate(
     QuadratureReport
         Real total, per-window coefficients/energies/contributions, and the
         imaginary residue of the complex accumulation as a diagnostic.
+
+    Raises
+    ------
+    NonFiniteResultError
+        When the total is not finite (sample magnitudes near the float
+        range overflow the fits).
     """
     if config is None:
         config = factors.config if factors is not None else WindowConfig()
@@ -257,9 +287,9 @@ def integrate(
         windows = np.concatenate((windows, values[None, -m:]))
     c = solve_coefficients(factors, windows, config.epsilon)
     del windows  # free the gathered copy before the weight products
-    q = c @ mode_weights(config, 0.0).weights
+    q = _window_integrals(c, mode_weights(config, 0.0).weights)
     if tail:
         t_lo = config.lam * int(blocks[-1, 0] - starts[-1]) / shift
-        q[-1] = c[-1] @ mode_weights(config, t_lo).weights
+        q[-1] = _window_integrals(c[-1], mode_weights(config, t_lo).weights)
     scale = (config.T / (2.0 * np.pi)) * shift * grid.h
     return _report(scale * q / np.sqrt(factors.L), c, starts, blocks, config)

@@ -39,6 +39,12 @@ class DetectionUnavailableError(LfequadError, RuntimeError):
     category = "detection-unavailable"
 
 
+class NonFiniteResultError(LfequadError, ArithmeticError):
+    """The quadrature value overflowed; the data's scale is beyond what the fits carry."""
+
+    category = "non-finite-result"
+
+
 class PredictionFailedError(LfequadError, RuntimeError):
     """Endpoint predictor denominator is degenerate for this window."""
 

@@ -10,7 +10,7 @@ are available in closed form, which is what makes the quadrature accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -66,12 +66,15 @@ class SvdFactors:
 
     ``u`` is (rows, r), ``v`` is (cols, r), ``sigma`` is (r,) sorted
     descending with r = min(rows, cols). Columns of ``u`` and ``v`` are
-    orthonormal to roundoff.
+    orthonormal to roundoff. ``_operators`` caches the truncated solve
+    operators derived from this factorization, one entry per (L, epsilon)
+    (see solve_operators); a new factorization starts with none.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -166,20 +169,50 @@ def mode_weights(config: WindowConfig, t_lo: float, t_hi: float | None = None) -
     return ModeWeights(weights=w, t_lo=float(t_lo), t_hi=float(t_hi))
 
 
+def solve_operators(
+    factors: ReferenceFactors, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offline half of the solve: the projector and synthesis matrix at epsilon.
+
+    Keeps the directions with ``sigma_j * sqrt(L) > epsilon`` and returns the
+    folded projector ``conj(U_k) / sigma_k`` (m, r) and the synthesis matrix
+    ``V_k^T`` (r, 2n+1), both C-contiguous. They are derived once per
+    factorization, L and epsilon, and kept on the factorization, so equal
+    configs (which share one factorization) reuse them and factors holding
+    another SVD never see them.
+    """
+    f = factors.svd
+    key = (factors.L, epsilon)
+    if key not in f._operators:
+        keep = f.sigma * np.sqrt(factors.L) > epsilon
+        f._operators[key] = (
+            np.ascontiguousarray(f.u[:, keep].conj() / f.sigma[keep]),
+            np.ascontiguousarray(f.v[:, keep].T),
+        )
+    return f._operators[key]
+
+
 def solve_coefficients(
     factors: ReferenceFactors, samples: np.ndarray, epsilon: float | None = None
 ) -> np.ndarray:
     """Truncated-SVD solve for window coefficients, one window or a stack.
 
     ``samples`` is one window of m values or a (k, m) stack of windows; the
-    result is (2n+1,) or (k, 2n+1) accordingly. Real samples are projected
-    with a real product against the interleaved real and imaginary parts of
-    the left basis, so they are never copied to complex.
+    result is (2n+1,) or (k, 2n+1) accordingly. The solve is two products
+    with the operators of solve_operators: project the data with the folded
+    projector ``conj(U_k) / sigma_k``, then synthesize with ``V_k^T``. Real
+    samples are projected with a real product against the interleaved real
+    and imaginary parts of the projector, so they are never copied to
+    complex.
 
-    The three stages run separately, in this order: project the data onto the
-    left singular basis, rescale the retained directions, synthesize with the
-    right singular basis. The merged pseudoinverse matrix is never formed;
-    fusing the factors amplifies roundoff through the tiny singular values.
+    Forbidden: any sum over singular directions formed before the data are
+    applied, that is the merged pseudoinverse ``V_k Sigma_k^-1 U_k^H`` or a
+    fused per-window quadrature vector. Such a sum adds terms scaled by the
+    tiny singular values, and its roundoff is amplified through 1/sigma into
+    every solve. Scaling the columns of ``U_k`` by the diagonal ``1/sigma_k``
+    is allowed: it forms no sum across directions, so each projected
+    component has the same roundoff class as projecting first and dividing
+    afterwards.
 
     A direction j is retained when ``sigma_j * sqrt(L) > epsilon``: the
     threshold is calibrated to the unnormalized node system exp(1j*l*t_i).
@@ -201,17 +234,14 @@ def solve_coefficients(
         )
     if not np.isfinite(g).all():
         raise InvalidInputError("samples contain non-finite values")
-    f = factors.svd
-    keep = f.sigma * np.sqrt(factors.L) > epsilon
-    u_adj = np.ascontiguousarray(f.u[:, keep].conj())
+    projector, synthesis = solve_operators(factors, epsilon)
     if real:
-        # the float view of u_adj holds (re, im) pairs, so the real product
-        # comes out as the complex projection laid out pairwise
-        y = (g @ u_adj.view(float)).view(complex)
+        # the float view of the projector holds (re, im) pairs, so the real
+        # product comes out as the complex projection laid out pairwise
+        y = (g @ projector.view(float)).view(complex)
     else:
-        y = g @ u_adj
-    y /= f.sigma[keep]
-    return y @ f.v[:, keep].T
+        y = g @ projector
+    return y @ synthesis
 
 
 @dataclass(frozen=True)

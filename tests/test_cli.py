@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import numpy as np
+
 from lfequad.cli import main
 
 
@@ -72,6 +74,25 @@ class TestIntegrateCommand:
         assert main(["integrate", "--input", str(path), "--correct"]) == 0
         err = capsys.readouterr().err
         assert "detection-unavailable" in err
+
+    def test_overflowing_energies_leave_result_uncorrected(self, tmp_path, capsys):
+        xi = 0.3
+        f = lambda x: 1e170 * (1 / (1 + x**2) + math.sin(5 * x) + max(x - xi, 0.0))
+        path = _write_samples(tmp_path, f, 0.0, 1.0, 160)
+        assert main(["integrate", "--input", str(path), "--correct", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "detection-unavailable" in captured.err
+        assert "uncorrected" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["correction_applied"] is False
+        assert math.isfinite(payload["value"])
+
+    def test_overflowing_value_fails_with_category(self, tmp_path, capsys):
+        f = lambda x: 1e300 * (1 / (1 + x**2) + math.sin(5 * x) + max(x - 0.3, 0.0))
+        path = _write_samples(tmp_path, f, 0.0, 1.0, 160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["integrate", "--input", str(path)]) == 4
+        assert "non-finite-result" in capsys.readouterr().err
 
 
 class TestBenchCommand:

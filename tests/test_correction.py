@@ -18,6 +18,8 @@ from lfequad import (
     registry_lookup,
     solve_coefficients,
 )
+from lfequad.correction import _BISECT_ITERS
+from lfequad.reference import evaluate_expansion
 from lfequad.errors import (
     DetectionUnavailableError,
     InvalidInputError,
@@ -67,6 +69,26 @@ class TestDetect:
         _, _, rep = _report("f1", {}, 40, config)  # two windows only
         with pytest.raises(DetectionUnavailableError):
             detect(rep)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-200, 1e-300])
+    def test_out_of_range_energies_are_unavailable(self, config, factors, scale):
+        # the etas overflow (threshold inf) or underflow (all zero) while the
+        # window integrals stay finite; flagging nothing would silently keep
+        # the uncorrected value
+        entry = registry_lookup("f7", {"xi": 0.3})
+        samples = SampledFunction.from_function(
+            lambda x: scale * entry.evaluator(x), *entry.domain, 160
+        )
+        rep = integrate(samples, config)
+        assert np.isfinite(rep.value) and rep.value != 0
+        with pytest.raises(DetectionUnavailableError):
+            detect(rep)
+        with pytest.raises(DetectionUnavailableError):
+            correct(rep, samples, factors)
+
+    def test_zero_data_flags_nothing(self, config):
+        samples = SampledFunction.from_function(np.zeros_like, 0.0, 1.0, 160)
+        assert detect(integrate(samples, config)).flagged == ()
 
 
 class TestLocalize:
@@ -192,6 +214,33 @@ def _linear_branches(factors, config, crossing):
     return left, right, (grid_nodes[80], grid_nodes[81])
 
 
+def _bisection_without_stop(left, right, cell):
+    # the bisection of estimate_xi before it stopped on an unmoving bracket,
+    # kept as the reference its result must equal bit for bit
+    lo, hi = cell
+
+    def diff(x):
+        return (
+            evaluate_expansion(left.expansion, x) - evaluate_expansion(right.expansion, x)
+        ).real
+
+    d_lo = diff(lo)
+    a, b = lo, hi
+    tol = 1e-14 * (hi - lo)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        d_mid = diff(mid)
+        if d_mid == 0.0:
+            return mid
+        if np.sign(d_mid) == np.sign(d_lo):
+            a = mid
+        else:
+            b = mid
+        if b - a <= tol:
+            break
+    return 0.5 * (a + b)
+
+
 class TestEstimateXi:
     def test_linear_crossing_at_cell_midpoint(self, factors, config):
         crossing = 0.5 + 0.5 / 160
@@ -199,6 +248,27 @@ class TestEstimateXi:
         xi, low_conf = estimate_xi(left, right, cell)
         assert not low_conf
         assert abs(xi - crossing) <= 1e-14
+
+    @pytest.mark.parametrize("offset", [0.5, 0.25, 0.999])
+    def test_bisection_stops_when_the_bracket_stops_moving(
+        self, factors, config, monkeypatch, offset
+    ):
+        # a crossing well inside the cell: 1e-14 of the cell width is below
+        # one ulp of x there, so the tolerance alone never stops bisection
+        crossing = 0.5 + offset / 160
+        left, right, cell = _linear_branches(factors, config, crossing)
+        oracle = _bisection_without_stop(left, right, cell)
+        evals = []
+
+        def counted(expansion, x):
+            evals.append(x)
+            return evaluate_expansion(expansion, x)
+
+        monkeypatch.setattr("lfequad.correction.evaluate_expansion", counted)
+        xi, low_conf = estimate_xi(left, right, cell)
+        assert not low_conf
+        assert xi.hex() == oracle.hex()
+        assert len(evals) < 2 * (2 + _BISECT_ITERS)
 
     def test_identical_branches_fall_back_to_scan(self, factors, config):
         left, _, cell = _linear_branches(factors, config, 0.5 + 0.5 / 160)

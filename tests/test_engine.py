@@ -9,10 +9,12 @@ from lfequad import (
     build_reference,
     integrate,
     integrate_small,
+    mode_weights,
     plan_windows,
+    registry_lookup,
     solve_coefficients,
 )
-from lfequad.errors import ConfigError, GridError, InvalidInputError
+from lfequad.errors import ConfigError, GridError, InvalidInputError, NonFiniteResultError
 
 F1 = lambda x: 3 * x**2 - np.exp(-x) - 2 * np.sin(2 * x)
 F1_PRIM = lambda x: x**3 + np.exp(-x) + np.cos(2 * x)
@@ -142,6 +144,32 @@ class TestIntegrate:
         assert [tuple(b) for b in rep.blocks.tolist()] == [w.block for w in plan.windows]
         nw = len(plan.windows)
         assert rep.coefficients.shape[0] == rep.etas.size == rep.contributions.size == nw
+
+    @pytest.mark.parametrize("M", [12, 60, 79])
+    def test_window_integrals_match_complex_products(self, config, M):
+        # contributions and imag_residue keep their meaning: the real and
+        # imaginary parts of scale * (c @ w) / sqrt(L), tail row included
+        rep = integrate(SampledFunction.from_function(F1, 0.1, 1.5, M), config)
+        sub = config if M + 1 >= config.m else WindowConfig(n=M // 2, m=M + 1)
+        w = np.tile(mode_weights(sub, 0.0).weights, (rep.etas.size, 1))
+        lo, start = int(rep.blocks[-1, 0]), int(rep.starts[-1])
+        if lo > start:
+            w[-1] = mode_weights(sub, sub.lam * (lo - start) / (sub.m - 1)).weights
+        h = 1.4 / M
+        shift = min(M, config.m - 1)
+        scale = (sub.T / (2 * np.pi)) * shift * h
+        q = scale * np.einsum("ij,ij->i", rep.coefficients, w) / np.sqrt(sub.L)
+        tol = 1e-14 * np.max(np.abs(q.real))
+        assert np.max(np.abs(rep.contributions - q.real)) <= tol
+        assert abs(rep.imag_residue - abs(q.imag.sum())) <= tol
+
+    @pytest.mark.parametrize("M", [14, 160])
+    def test_overflowing_scale_raises(self, config, M):
+        entry = registry_lookup("f7", {"xi": 0.3})
+        s = SampledFunction.from_function(lambda x: 1e300 * entry.evaluator(x), 0, 1, M)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResultError):
+                integrate(s, config)
 
     def test_mismatched_factors_rejected(self, config):
         other = build_reference(WindowConfig(n=3, m=7))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 from lfequad import (
     LocalExpansion,
     SampledFunction,
+    SvdFactors,
     WindowConfig,
     build_reference,
     evaluate_expansion,
@@ -16,6 +19,7 @@ from lfequad import (
     solve_coefficients,
 )
 from lfequad.errors import ConfigError, DimensionMismatchError, InvalidInputError
+from lfequad.reference import solve_operators
 
 LAM = np.pi / 3  # sampled reference interval for T=6
 
@@ -182,6 +186,78 @@ class TestSolveCoefficients:
         tol = 1e-14 * np.max(np.abs(loop))
         assert np.max(np.abs(report.contributions - loop)) <= tol
         assert abs(report.value - loop.sum()) <= 1e-14 * abs(report.value)
+
+    @pytest.mark.parametrize(
+        "kind,epsilon", [(float, None), (complex, None), (float, 1e-8), (complex, 1e-11)]
+    )
+    def test_folded_solve_matches_three_stage_oracle(self, config, factors, kind, epsilon):
+        # oracle: project onto conj(U_k), divide by sigma_k, synthesize with
+        # V_k^T, as three separate stages
+        x = 0.1 + np.arange(201) * (1.4 / 200)
+        g = 3 * x**2 - np.exp(-x) - 2 * np.sin(2 * x)
+        if kind is complex:
+            g = g + 1j * np.cos(5 * x)
+        windows = g[np.arange(10)[:, None] * 20 + np.arange(21)]
+        eps = config.epsilon if epsilon is None else epsilon
+        f = factors.svd
+        keep = f.sigma * np.sqrt(factors.L) > eps
+        y = windows @ f.u[:, keep].conj()
+        y /= f.sigma[keep]
+        oracle = y @ f.v[:, keep].T
+        folded = solve_coefficients(factors, windows, epsilon)
+        w = mode_weights(config, 0.0).weights
+        q_oracle, q_folded = oracle @ w, folded @ w
+        assert np.max(np.abs(q_folded - q_oracle)) <= 1e-14 * np.max(np.abs(q_oracle))
+
+    def test_operators_derived_once_per_factorization(self, config, factors):
+        class CountingDict(dict):
+            stores = 0
+
+            def __setitem__(self, key, value):
+                self.stores += 1
+                super().__setitem__(key, value)
+
+        svd = SvdFactors(u=factors.svd.u, sigma=factors.svd.sigma, v=factors.svd.v)
+        counting = CountingDict()
+        object.__setattr__(svd, "_operators", counting)
+        fresh = replace(factors, svd=svd)
+        samples = SampledFunction.from_function(np.cos, 0.0, 1.0, 219)
+        for _ in range(3):
+            integrate(samples, config, factors=fresh)
+            solve_coefficients(fresh, samples.values[:21], 1e-8)
+        assert counting.stores == 2  # the default epsilon and 1e-8
+        first = solve_operators(fresh, 1e-8)
+        assert all(a is b for a, b in zip(first, solve_operators(fresh, 1e-8)))
+        assert counting.stores == 2
+
+    def test_equal_configs_share_operators(self, config, factors, rng):
+        solve_coefficients(factors, rng.normal(size=21))
+        rebuilt = build_reference(WindowConfig(T=6))
+        shared = zip(solve_operators(factors, 1e-15), solve_operators(rebuilt, 1e-15))
+        assert all(a is b for a, b in shared)
+
+    def test_operators_are_contiguous_and_folded(self, factors):
+        projector, synthesis = solve_operators(factors, 1e-15)
+        f = factors.svd
+        r = int(np.count_nonzero(f.sigma * np.sqrt(factors.L) > 1e-15))
+        assert projector.shape == (21, r) and synthesis.shape == (r, 21)
+        assert projector.flags.c_contiguous and synthesis.flags.c_contiguous
+        assert np.array_equal(projector, f.u[:, :r].conj() / f.sigma[:r])
+        assert np.array_equal(synthesis, f.v[:, :r].T)
+
+    def test_replaced_svd_is_solved_with(self, factors, rng):
+        # halving sigma doubles every coefficient exactly, unless it moves
+        # the truncation point, which this case checks it does not
+        f = factors.svd
+        g = rng.normal(size=(3, 21))
+        before = solve_coefficients(factors, g)  # fills the original's operators
+        halved = replace(factors, svd=SvdFactors(u=f.u, sigma=f.sigma / 2, v=f.v))
+        scaled = np.sqrt(factors.L)
+        assert np.count_nonzero(f.sigma * scaled > 1e-15) == np.count_nonzero(
+            f.sigma / 2 * scaled > 1e-15
+        )
+        assert np.array_equal(solve_coefficients(halved, g), 2 * before)
+        assert np.array_equal(solve_coefficients(factors, g), before)
 
 
 def _expansion_from_samples(factors, samples, origin=0.4, h=0.01):
