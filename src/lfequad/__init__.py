@@ -10,7 +10,6 @@ package.
 
 from .baselines import CCRule, clenshaw_curtis, clenshaw_curtis_rule, simpson
 from .correction import (
-    BranchModel,
     CorrectionResult,
     DetectionReport,
     LocalizationResult,
@@ -27,7 +26,6 @@ from .engine import (
     WindowPlan,
     WindowSpan,
     integrate,
-    integrate_small,
     plan_windows,
 )
 from .reference import (

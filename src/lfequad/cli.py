@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .correction import correct
 from .engine import integrate
 from .errors import DetectionUnavailableError, LfequadError
@@ -81,14 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_integrate(args) -> int:
     config = WindowConfig(n=args.n, m=2 * args.n + 1, T=args.T, epsilon=args.epsilon)
     samples = ingest_samples(args.input)
-    report = integrate(samples, config)
     corrected = False
-    if args.correct:
-        try:
-            report = correct(report, samples, build_reference(config))
-            corrected = True
-        except DetectionUnavailableError as exc:
-            print(f"warning[{exc.category}]: {exc}; result left uncorrected", file=sys.stderr)
+    # samples near the float range overflow inside the fits; integrate raises
+    # that as NonFiniteResultError, so numpy's floating-point warnings would
+    # only print the same fault untyped
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = integrate(samples, config)
+        if args.correct:
+            try:
+                report = correct(report, samples, build_reference(config))
+                corrected = True
+            except DetectionUnavailableError as exc:
+                print(f"warning[{exc.category}]: {exc}; result left uncorrected", file=sys.stderr)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.json:

@@ -8,10 +8,12 @@ window fit is forced to straddle two smooth branches. The repair pipeline:
 2. bracket the kink to one grid cell by scanning candidate split nodes and
    fitting one window ending and one starting at each split, keeping the
    split whose two fits are jointly tamest;
-3. rebuild one-sided branch fits, replacing the single sample that belongs
-   to the other branch with a predicted one-sided limit (the value that
-   makes the window data orthogonal to the reference matrix's most nearly
-   null left singular vector);
+3. fit both one-sided branches in one stacked solve: the window ending at
+   the cell's right edge and the one starting at its left edge, each with
+   the single sample that belongs to the other branch replaced by a
+   predicted one-sided limit (the value that makes the window data
+   orthogonal to the reference matrix's most nearly null left singular
+   vector);
 4. estimate the kink location inside the cell as the root of the difference
    of the two branch fits;
 5. swap the flagged window's contribution for the two analytic one-sided
@@ -72,16 +74,6 @@ class LocalizationResult:
     global_cell: tuple[int, int]
     cl_norms: np.ndarray
     cr_norms: np.ndarray
-    clamped: bool = False
-
-
-@dataclass(frozen=True)
-class BranchModel:
-    side: str  # "left" | "right"
-    expansion: LocalExpansion
-    start_index: int
-    predicted_node: int
-    predicted_value: float
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,7 @@ def localize(
     left fit with an inflated right fit means the kink sits just right of
     the split node.
 
-    Near the domain boundary candidate windows clamp to the available range
-    (recorded in the result).
+    Near the domain boundary candidate windows clamp to the available range.
     """
     m = factors.config.m
     M = samples.grid.M
@@ -147,7 +138,6 @@ def localize(
     split = start + np.arange(1, m - 1)
     s_left = np.clip(split - (m - 1), 0, M - (m - 1))
     s_right = np.clip(split, 0, M - (m - 1))
-    clamped = bool(np.any(s_left != split - (m - 1)) or np.any(s_right != split))
     candidates = samples.values[np.concatenate((s_left, s_right))[:, None] + np.arange(m)]
     c = solve_coefficients(factors, candidates)
     norms = np.linalg.norm(c, axis=1)
@@ -163,7 +153,6 @@ def localize(
         global_cell=(location - 1, location),
         cl_norms=cl,
         cr_norms=cr,
-        clamped=clamped,
     )
 
 
@@ -193,41 +182,35 @@ def predict_endpoint(
     return float((-num / denom).real)
 
 
-def _branch_model(
-    samples: SampledFunction, factors: ReferenceFactors, location: int, side: str
-) -> BranchModel:
+def _branch_fits(
+    samples: SampledFunction, factors: ReferenceFactors, location: int
+) -> tuple[LocalExpansion, LocalExpansion]:
+    """Left and right branch fits around the kink cell (location-1, location).
+
+    The left fit takes the m nodes ending at the cell's right edge, the right
+    fit the m nodes starting at its left edge, both clamped to the grid. The
+    cell edge sample of each may belong to the other branch and is replaced
+    by the predicted one-sided limit; both windows are solved as one stack.
+    """
     m = factors.config.m
     grid = samples.grid
-    M = grid.M
-    if side == "left":
-        # m nodes ending at the cell's right edge; the edge sample may belong
-        # to the other branch and is replaced by the predicted left limit
-        target = location
-        start = min(max(location - (m - 1), 0), M - (m - 1))
-    else:
-        # m nodes starting at the cell's left edge, predicted right limit there
-        target = location - 1
-        start = min(max(location - 1, 0), M - (m - 1))
-    p = target - start
-    g = samples.values[start : start + m].copy()
-    alpha = predict_endpoint(factors, g, p)
-    g[p] = alpha
+    last = grid.M - (m - 1)
+    targets = (location, location - 1)
+    starts = [min(max(location - (m - 1), 0), last), min(max(location - 1, 0), last)]
+    g = samples.values[np.add.outer(starts, np.arange(m))]
+    for row, target, start in zip(g, targets, starts):
+        row[target - start] = predict_endpoint(factors, row, target - start)
     c = solve_coefficients(factors, g)
     scale = (factors.config.T / (2.0 * np.pi)) * (m - 1) * grid.h
-    expansion = LocalExpansion(
-        coefficients=c, scale=scale, origin=grid.node(start), L=factors.L
+    left, right = (
+        LocalExpansion(coefficients=ck, scale=scale, origin=grid.node(start), L=factors.L)
+        for ck, start in zip(c, starts)
     )
-    return BranchModel(
-        side=side,
-        expansion=expansion,
-        start_index=start,
-        predicted_node=target,
-        predicted_value=alpha,
-    )
+    return left, right
 
 
 def estimate_xi(
-    left: BranchModel, right: BranchModel, cell: tuple[float, float]
+    left: LocalExpansion, right: LocalExpansion, cell: tuple[float, float]
 ) -> tuple[float, bool]:
     """Root of (left branch - right branch) inside the bracketing cell.
 
@@ -241,9 +224,7 @@ def estimate_xi(
     lo, hi = cell
 
     def diff(x: float) -> float:
-        return (
-            evaluate_expansion(left.expansion, x) - evaluate_expansion(right.expansion, x)
-        ).real
+        return (evaluate_expansion(left, x) - evaluate_expansion(right, x)).real
 
     d_lo, d_hi = diff(lo), diff(hi)
     if d_lo == 0.0 and d_hi == 0.0:
@@ -301,8 +282,7 @@ def correct(
     for k in detection.flagged:
         try:
             loc = localize(samples, factors, k)
-            left = _branch_model(samples, factors, loc.global_cell[1], "left")
-            right = _branch_model(samples, factors, loc.global_cell[1], "right")
+            left, right = _branch_fits(samples, factors, loc.global_cell[1])
         except PredictionFailedError as exc:
             warnings.append(f"window {k} left uncorrected: {exc}")
             continue
@@ -312,13 +292,11 @@ def correct(
             warnings.append(f"window {k}: no sign change in branch difference, scan fallback")
         blk_lo, blk_hi = (grid.node(int(j)) for j in report.blocks[k])
         xi_c = min(max(xi_hat, blk_lo), blk_hi)
-        lam = config.lam
-        eL = left.expansion
-        tl = np.clip([(blk_lo - eL.origin) / eL.scale, (xi_c - eL.origin) / eL.scale], 0.0, lam)
-        left_int = integrate_expansion(eL, mode_weights(config, tl[0], tl[1])).real
-        eR = right.expansion
-        tr = np.clip([(xi_c - eR.origin) / eR.scale, (blk_hi - eR.origin) / eR.scale], 0.0, lam)
-        right_int = integrate_expansion(eR, mode_weights(config, tr[0], tr[1])).real
+        halves = []
+        for e, lo, hi in ((left, blk_lo, xi_c), (right, xi_c, blk_hi)):
+            t = np.clip([(lo - e.origin) / e.scale, (hi - e.origin) / e.scale], 0.0, config.lam)
+            halves.append(integrate_expansion(e, mode_weights(config, t[0], t[1])).real)
+        left_int, right_int = halves
         corrections.append(
             CorrectionResult(
                 window_index=k,

@@ -3,17 +3,18 @@
 The grid is partitioned into overlapping windows of m nodes (adjacent windows
 share one node, so the shift is m-1 cells). Each window is fitted with the
 precomputed reference factors and contributes the analytic integral of its
-fit over the block of cells it covers; all windows of a grid are solved as
-one stack, so the per-window work is array rows, not Python calls. Three
-grid regimes exist:
+fit over the block of cells it covers. Every grid takes one path: its windows
+are gathered into one stack, solved in one call and weighted in one product,
+so the per-window work is array rows, not Python calls. The three grid
+regimes differ only in the windows they gather:
 
 * more nodes than a window: full windows every m-1 cells, plus, when M is not
   divisible by m-1, one tail window that reuses the last m nodes (borrowing
   already-covered nodes on the left) and integrates only the leftover cells
   through a truncated weight range;
 * exactly one window's worth of nodes: a single full window;
-* fewer nodes than a window: a single bespoke fit using all available nodes
-  with a correspondingly reduced mode count.
+* fewer nodes than a window: a single full window of all M+1 nodes, fitted
+  with the reduced reference of floor(M/2) modes per side.
 """
 
 from __future__ import annotations
@@ -187,26 +188,6 @@ def _window_integrals(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c.view(float) @ pairs.reshape(-1, 2)
 
 
-def integrate_small(samples: SampledFunction, config: WindowConfig) -> QuadratureReport:
-    """Single-window fit for grids with fewer nodes than a standard window.
-
-    Builds an (M+1) x (2n'+1) system with n' = floor(M/2) over the same
-    reference interval and integrates it in one shot. Needs at least three
-    nodes.
-    """
-    grid = samples.grid
-    if grid.M + 1 >= config.m:
-        raise GridError(f"grid with {grid.M + 1} nodes is not a small-grid case for m={config.m}")
-    if grid.M + 1 < 3:
-        raise GridError(f"need at least 3 nodes, got {grid.M + 1}")
-    sub = WindowConfig(n=grid.M // 2, m=grid.M + 1, T=config.T, epsilon=config.epsilon)
-    starts, blocks = window_layout(grid.M, config.m)
-    c = solve_coefficients(build_reference(sub), samples.values[None, :])
-    scale = (sub.T / (2.0 * np.pi)) * (grid.b - grid.a)
-    q = scale * _window_integrals(c, mode_weights(sub, 0.0).weights) / np.sqrt(sub.L)
-    return _report(q, c, starts, blocks, config)
-
-
 def _report(q, c, starts, blocks, config) -> QuadratureReport:
     """Report of window integrals ``q`` ((re, im) pairs) from the fits ``c``.
 
@@ -238,15 +219,21 @@ def integrate(
 ) -> QuadratureReport:
     """Windowed quadrature of uniformly sampled data.
 
+    Full, tail and small-grid windows all go through one batched solve. A
+    grid with fewer nodes than ``config.m`` is fitted as one window with the
+    reduced reference ``WindowConfig(n=M//2, m=M+1, T, epsilon)``; the
+    report's ``config_used`` is still ``config``.
+
     Parameters
     ----------
     samples : SampledFunction
-        Values on a uniform grid.
+        Values on a uniform grid with at least 3 nodes.
     config : WindowConfig, optional
         Fit parameters; defaults to the standard configuration.
     factors : ReferenceFactors, optional
         Precomputed reference factors. Must agree with ``config`` on
-        (n, m, T); built (and cached) on demand when omitted.
+        (n, m, T); built (and cached) on demand when omitted. A small grid
+        uses the reduced reference instead.
 
     Returns
     -------
@@ -256,24 +243,34 @@ def integrate(
 
     Raises
     ------
+    GridError
+        When the grid has fewer than 3 nodes.
     NonFiniteResultError
         When the total is not finite (sample magnitudes near the float
         range overflow the fits).
     """
     if config is None:
         config = factors.config if factors is not None else WindowConfig()
-    if samples.grid.M + 1 < config.m:
-        return integrate_small(samples, config)
-    if factors is None:
-        factors = build_reference(config)
-    fc = factors.config
-    if (fc.n, fc.m, fc.T) != (config.n, config.m, config.T):
-        raise ConfigError(
-            f"factors built for (n={fc.n}, m={fc.m}, T={fc.T}) do not match "
-            f"(n={config.n}, m={config.m}, T={config.T})"
-        )
+    if factors is not None:
+        fc = factors.config
+        if (fc.n, fc.m, fc.T) != (config.n, config.m, config.T):
+            raise ConfigError(
+                f"factors built for (n={fc.n}, m={fc.m}, T={fc.T}) do not match "
+                f"(n={config.n}, m={config.m}, T={config.T})"
+            )
     grid = samples.grid
-    m, shift = config.m, config.m - 1
+    if grid.M + 1 < 3:
+        raise GridError(f"need at least 3 nodes, got {grid.M + 1}")
+    if grid.M + 1 < config.m:
+        # fewer nodes than a window: one window over all of them, fitted with
+        # the reference of floor(M/2) modes per side on the same interval
+        factors = build_reference(
+            WindowConfig(n=grid.M // 2, m=grid.M + 1, T=config.T, epsilon=config.epsilon)
+        )
+    elif factors is None:
+        factors = build_reference(config)
+    fit = factors.config
+    m, shift = fit.m, fit.m - 1
     starts, blocks = window_layout(grid.M, m)
     # full windows as a strided view of the samples (adjacent ones share a
     # node); a tail window goes in as one extra row. The view is built with
@@ -287,9 +284,9 @@ def integrate(
         windows = np.concatenate((windows, values[None, -m:]))
     c = solve_coefficients(factors, windows, config.epsilon)
     del windows  # free the gathered copy before the weight products
-    q = _window_integrals(c, mode_weights(config, 0.0).weights)
+    q = _window_integrals(c, mode_weights(fit, 0.0).weights)
     if tail:
-        t_lo = config.lam * int(blocks[-1, 0] - starts[-1]) / shift
-        q[-1] = _window_integrals(c[-1], mode_weights(config, t_lo).weights)
-    scale = (config.T / (2.0 * np.pi)) * shift * grid.h
+        t_lo = fit.lam * int(blocks[-1, 0] - starts[-1]) / shift
+        q[-1] = _window_integrals(c[-1], mode_weights(fit, t_lo).weights)
+    scale = (fit.T / (2.0 * np.pi)) * shift * grid.h
     return _report(scale * q / np.sqrt(factors.L), c, starts, blocks, config)

@@ -76,10 +76,6 @@ class SvdFactors:
     v: np.ndarray
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def rank(self) -> int:
-        return self.sigma.size
-
 
 def svd(a: np.ndarray) -> SvdFactors:
     """Factor a complex matrix, singular values in descending order.
@@ -103,7 +99,10 @@ class ReferenceFactors:
     config: WindowConfig
     matrix: np.ndarray  # (m, 2n+1), entry (i, l) = exp(1j*l*t_i)/sqrt(L)
     svd: SvdFactors
-    L: float
+
+    @property
+    def L(self) -> float:
+        return self.config.L
 
     @property
     def nodes(self) -> np.ndarray:
@@ -129,7 +128,7 @@ def build_reference(config: WindowConfig) -> ReferenceFactors:
     Rebuilding with an equal config returns bitwise-identical factors.
     """
     matrix, factors = _build(config.n, config.m, float(config.T))
-    return ReferenceFactors(config=config, matrix=matrix, svd=factors, L=config.L)
+    return ReferenceFactors(config=config, matrix=matrix, svd=factors)
 
 
 @dataclass(frozen=True)

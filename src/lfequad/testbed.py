@@ -177,7 +177,7 @@ def _bad_line(path, skip_header: bool, reason: str) -> str:
     return f"{path}: {reason}"
 
 
-def ingest_samples(path, fmt: str = "csv") -> SampledFunction:
+def ingest_samples(path) -> SampledFunction:
     """Read two-column (x, f) data with an optional header into a SampledFunction.
 
     The first line is a header, and skipped, when it has two fields that do
@@ -193,8 +193,6 @@ def ingest_samples(path, fmt: str = "csv") -> SampledFunction:
     errors of the fitted grid), so a uniform grid written in decimal passes
     whatever its length.
     """
-    if fmt != "csv":
-        raise ParseError(f"unsupported input format {fmt!r}")
     skip_header = False
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:

@@ -5,7 +5,6 @@ import pytest
 from dataclasses import replace
 
 from lfequad import (
-    BranchModel,
     LocalExpansion,
     SampledFunction,
     SvdFactors,
@@ -205,12 +204,8 @@ def _linear_branches(factors, config, crossing):
     f_right = 1.0 - (grid_nodes - crossing)
     cl = solve_coefficients(factors, f_left[61:82].astype(complex))
     cr = solve_coefficients(factors, f_right[80:101].astype(complex))
-    left = BranchModel(
-        "left", LocalExpansion(cl, scale, grid_nodes[61], factors.L), 61, 81, 0.0
-    )
-    right = BranchModel(
-        "right", LocalExpansion(cr, scale, grid_nodes[80], factors.L), 80, 80, 0.0
-    )
+    left = LocalExpansion(cl, scale, grid_nodes[61], factors.L)
+    right = LocalExpansion(cr, scale, grid_nodes[80], factors.L)
     return left, right, (grid_nodes[80], grid_nodes[81])
 
 
@@ -220,9 +215,7 @@ def _bisection_without_stop(left, right, cell):
     lo, hi = cell
 
     def diff(x):
-        return (
-            evaluate_expansion(left.expansion, x) - evaluate_expansion(right.expansion, x)
-        ).real
+        return (evaluate_expansion(left, x) - evaluate_expansion(right, x)).real
 
     d_lo = diff(lo)
     a, b = lo, hi
@@ -312,6 +305,20 @@ class TestCorrect:
             for k, w in enumerate(corrected.contributions)
         )
         assert corrected.value == pytest.approx(expected, rel=1e-14)
+
+    def test_branch_fits_share_one_solve(self, config, factors, monkeypatch):
+        # localization solves its candidate stack, then both one-sided branch
+        # windows go through a single (2, m) solve
+        _, samples, rep = _report("f7", {"xi": 0.3}, 160, config)
+        shapes = []
+
+        def recorded(factors, samples, *args):
+            shapes.append(np.shape(samples))
+            return solve_coefficients(factors, samples, *args)
+
+        monkeypatch.setattr("lfequad.correction.solve_coefficients", recorded)
+        assert len(correct(rep, samples, factors).corrections) == 1
+        assert shapes == [(2 * (config.m - 2), config.m), (2, config.m)]
 
     def test_smooth_report_passes_through_unchanged(self, config, factors):
         _, samples, rep = _report("f1", {}, 160, config)

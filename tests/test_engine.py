@@ -8,7 +8,6 @@ from lfequad import (
     WindowConfig,
     build_reference,
     integrate,
-    integrate_small,
     mode_weights,
     plan_windows,
     registry_lookup,
@@ -84,7 +83,7 @@ class TestIntegrate:
         assert abs(integrate(s, config).value - 2.0) <= 1e-12
 
     def test_smooth_blend_small_grid(self, config):
-        # M=14 has fewer nodes than a window and runs the bespoke-fit path
+        # M=14 has fewer nodes than a window: one window of the reduced reference
         s = SampledFunction.from_function(F1, 0.1, 1.5, 14)
         assert abs(integrate(s, config).value - F1_EXACT) <= 1e-11
 
@@ -190,27 +189,20 @@ class TestIntegrate:
 
 
 class TestIntegrateSmall:
+    """integrate on grids with fewer nodes than a window."""
+
     def test_constant(self, config):
         s = SampledFunction.from_function(lambda x: np.ones_like(x), 0, 3, 10)
-        assert abs(integrate_small(s, config).value - 3.0) <= 1e-12
+        assert abs(integrate(s, config).value - 3.0) <= 1e-12
 
     def test_square(self, config):
         s = SampledFunction.from_function(lambda x: x**2, 0, 1, 12)
-        assert abs(integrate_small(s, config).value - 1 / 3) <= 1e-8
+        assert abs(integrate(s, config).value - 1 / 3) <= 1e-8
 
     def test_single_cell_unsupported(self, config):
         s = SampledFunction(UniformGrid(0, 1, 1), np.array([0.0, 1.0]))
         with pytest.raises(GridError):
-            integrate_small(s, config)
-
-    def test_large_grid_rejected(self, config):
-        s = SampledFunction.from_function(lambda x: x, 0, 1, 40)
-        with pytest.raises(GridError):
-            integrate_small(s, config)
-
-    def test_dispatch_from_integrate(self, config):
-        s = SampledFunction.from_function(lambda x: x**2, 0, 1, 12)
-        assert integrate(s, config).value == integrate_small(s, config).value
+            integrate(s, config)
 
 
 class TestUniformGrid:

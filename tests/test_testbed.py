@@ -224,11 +224,6 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_samples(self._write(tmp_path, ["0.0,1.0,9", "0.1,1.0,9", "0.2,1.0,9"]))
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["0.0,1.0", "0.1,1.0", "0.2,1.0"])
-        with pytest.raises(ParseError):
-            ingest_samples(path, fmt="parquet")
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             ingest_samples(tmp_path / "absent.csv")
