@@ -4,7 +4,8 @@ A continuous integrand with a derivative jump inside some window inflates
 that window's coefficient energy by many orders of magnitude, because the
 window fit is forced to straddle two smooth branches. The repair pipeline:
 
-1. flag windows whose energy exceeds a large multiple of the median;
+1. flag windows whose energy exceeds a large multiple of the median nonzero
+   energy;
 2. bracket the kink to one grid cell by scanning candidate split nodes and
    fitting one window ending and one starting at each split, keeping the
    split whose two fits are jointly tamest;
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import QuadratureReport, SampledFunction, window_layout
-from .errors import DetectionUnavailableError, InvalidInputError, PredictionFailedError
+from .errors import ConfigError, DetectionUnavailableError, InvalidInputError, PredictionFailedError
 from .reference import (
     LocalExpansion,
     ReferenceFactors,
@@ -40,7 +41,7 @@ from .reference import (
     solve_coefficients,
 )
 
-# Energy threshold: flag windows with eta > DETECTION_RATIO * median(eta).
+# Energy threshold: flag windows with eta > DETECTION_RATIO * median(nonzero eta).
 # Smooth windows sit within a factor of a few of each other while a straddled
 # kink inflates eta by >= 1e6, so three decades leaves margin on both sides.
 DETECTION_RATIO = 1e3
@@ -90,6 +91,10 @@ class CorrectionResult:
 def detect(report: QuadratureReport) -> DetectionReport:
     """Flag windows whose coefficient energy is an outlier over the median.
 
+    The median runs over the nonzero energies only: windows of all-zero data
+    have zero energy, and when they are the majority a plain median of 0
+    would flag every other window. With no nonzero energy nothing is flagged.
+
     Needs at least three windows; with fewer, there is no meaningful median
     and the caller should keep the uncorrected result. The same holds when
     the energies left the float range: a non-finite threshold (energies
@@ -101,7 +106,8 @@ def detect(report: QuadratureReport) -> DetectionReport:
         raise DetectionUnavailableError(
             f"detection needs >= 3 windows, got {etas.size}"
         )
-    threshold = DETECTION_RATIO * float(np.median(etas))
+    nonzero = etas[etas != 0]
+    threshold = DETECTION_RATIO * float(np.median(nonzero)) if nonzero.size else 0.0
     if not np.isfinite(threshold):
         raise DetectionUnavailableError(
             f"detection threshold is {threshold}: coefficient energies overflowed"
@@ -265,11 +271,20 @@ def correct(
     already-corrected report reproduces it. Windows where the endpoint
     prediction degenerates are left uncorrected and noted in the warnings.
     Smooth reports come back unchanged.
+
+    ``factors`` must be built from the report's config, i.e.
+    ``build_reference(report.config_used)``: the report's energies and
+    contributions come from that fit, and refitting flagged windows with
+    another one would mix two quadratures. Otherwise ConfigError is raised.
     """
+    config = factors.config
+    if config != report.config_used:
+        raise ConfigError(
+            f"factors built for {config} do not match the report's {report.config_used}"
+        )
     detection = detect(report)
     if not detection.flagged:
         return report
-    config = factors.config
     grid = samples.grid
     warnings: list[str] = []
     for a, b in zip(detection.flagged, detection.flagged[1:]):

@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, GridError, InvalidInputError, NonFiniteResultError
+from .errors import GridError, InvalidInputError, NonFiniteResultError
 from .reference import (
-    ReferenceFactors,
     WindowConfig,
     build_reference,
     mode_weights,
@@ -82,24 +81,20 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class WindowSpan:
-    """One planned window: node range, weight range, and covered cells.
+    """One planned window: first node, kind, and covered cells.
 
     ``block`` is a pair of node indices; the window's contribution is the
     integral over [node(block[0]), node(block[1])]. For full windows that is
-    the whole window span and t_lo = 0; a tail window covers only the
-    leftover cells, mapped to [t_lo, 2*pi/T] in reference coordinates.
+    the whole window span; a tail window covers only the leftover cells.
     """
 
     start: int
     kind: str  # "full" | "tail" | "small"
-    t_lo: float
     block: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class WindowPlan:
-    grid: UniformGrid
-    config: WindowConfig
     windows: tuple[WindowSpan, ...]
 
 
@@ -153,19 +148,17 @@ def window_layout(M: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def plan_windows(grid: UniformGrid, config: WindowConfig) -> WindowPlan:
     """Decompose the grid into windows whose covered blocks tile [a, b] exactly."""
-    shift = config.m - 1
     starts, blocks = window_layout(grid.M, config.m)
     small = grid.M + 1 < config.m
     windows = tuple(
         WindowSpan(
             start=s,
             kind="small" if small else "full" if lo == s else "tail",
-            t_lo=config.lam * (lo - s) / shift,
             block=(lo, hi),
         )
         for s, (lo, hi) in zip(starts.tolist(), blocks.tolist())
     )
-    return WindowPlan(grid=grid, config=config, windows=windows)
+    return WindowPlan(windows=windows)
 
 
 def _coefficient_norms(c: np.ndarray) -> np.ndarray:
@@ -212,11 +205,7 @@ def _report(q, c, starts, blocks, config) -> QuadratureReport:
     )
 
 
-def integrate(
-    samples: SampledFunction,
-    config: WindowConfig | None = None,
-    factors: ReferenceFactors | None = None,
-) -> QuadratureReport:
+def integrate(samples: SampledFunction, config: WindowConfig | None = None) -> QuadratureReport:
     """Windowed quadrature of uniformly sampled data.
 
     Full, tail and small-grid windows all go through one batched solve. A
@@ -229,11 +218,9 @@ def integrate(
     samples : SampledFunction
         Values on a uniform grid with at least 3 nodes.
     config : WindowConfig, optional
-        Fit parameters; defaults to the standard configuration.
-    factors : ReferenceFactors, optional
-        Precomputed reference factors. Must agree with ``config`` on
-        (n, m, T); built (and cached) on demand when omitted. A small grid
-        uses the reduced reference instead.
+        Fit parameters, the truncation threshold included; defaults to the
+        standard configuration. The reference factors come from
+        ``build_reference(config)``, which caches them.
 
     Returns
     -------
@@ -250,26 +237,16 @@ def integrate(
         range overflow the fits).
     """
     if config is None:
-        config = factors.config if factors is not None else WindowConfig()
-    if factors is not None:
-        fc = factors.config
-        if (fc.n, fc.m, fc.T) != (config.n, config.m, config.T):
-            raise ConfigError(
-                f"factors built for (n={fc.n}, m={fc.m}, T={fc.T}) do not match "
-                f"(n={config.n}, m={config.m}, T={config.T})"
-            )
+        config = WindowConfig()
     grid = samples.grid
     if grid.M + 1 < 3:
         raise GridError(f"need at least 3 nodes, got {grid.M + 1}")
+    fit = config
     if grid.M + 1 < config.m:
         # fewer nodes than a window: one window over all of them, fitted with
         # the reference of floor(M/2) modes per side on the same interval
-        factors = build_reference(
-            WindowConfig(n=grid.M // 2, m=grid.M + 1, T=config.T, epsilon=config.epsilon)
-        )
-    elif factors is None:
-        factors = build_reference(config)
-    fit = factors.config
+        fit = replace(config, n=grid.M // 2, m=grid.M + 1)
+    factors = build_reference(fit)
     m, shift = fit.m, fit.m - 1
     starts, blocks = window_layout(grid.M, m)
     # full windows as a strided view of the samples (adjacent ones share a
@@ -282,7 +259,7 @@ def integrate(
     tail = starts.size > windows.shape[0]
     if tail:
         windows = np.concatenate((windows, values[None, -m:]))
-    c = solve_coefficients(factors, windows, config.epsilon)
+    c = solve_coefficients(factors, windows)
     del windows  # free the gathered copy before the weight products
     q = _window_integrals(c, mode_weights(fit, 0.0).weights)
     if tail:

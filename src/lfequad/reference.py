@@ -123,8 +123,8 @@ def _build(n: int, m: int, T: float) -> tuple[np.ndarray, SvdFactors]:
 def build_reference(config: WindowConfig) -> ReferenceFactors:
     """Build (or fetch from cache) the reference matrix and its SVD.
 
-    The factors depend only on (n, m, T); epsilon stays a solve-time
-    parameter so one factorization serves every truncation level.
+    The factorization depends only on (n, m, T), so configs that differ
+    only in epsilon share it; the solve truncates at ``config.epsilon``.
     Rebuilding with an equal config returns bitwise-identical factors.
     """
     matrix, factors = _build(config.n, config.m, float(config.T))
@@ -168,19 +168,19 @@ def mode_weights(config: WindowConfig, t_lo: float, t_hi: float | None = None) -
     return ModeWeights(weights=w, t_lo=float(t_lo), t_hi=float(t_hi))
 
 
-def solve_operators(
-    factors: ReferenceFactors, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offline half of the solve: the projector and synthesis matrix at epsilon.
+def solve_operators(factors: ReferenceFactors) -> tuple[np.ndarray, np.ndarray]:
+    """Offline half of the solve: the projector and synthesis matrix.
 
-    Keeps the directions with ``sigma_j * sqrt(L) > epsilon`` and returns the
-    folded projector ``conj(U_k) / sigma_k`` (m, r) and the synthesis matrix
-    ``V_k^T`` (r, 2n+1), both C-contiguous. They are derived once per
-    factorization, L and epsilon, and kept on the factorization, so equal
-    configs (which share one factorization) reuse them and factors holding
-    another SVD never see them.
+    Keeps the directions with ``sigma_j * sqrt(L) > epsilon``, epsilon being
+    ``factors.config.epsilon``, and returns the folded projector
+    ``conj(U_k) / sigma_k`` (m, r) and the synthesis matrix ``V_k^T``
+    (r, 2n+1), both C-contiguous. They are derived once per factorization,
+    L and epsilon, and kept on the factorization, so equal configs (which
+    share one factorization) reuse them and factors holding another SVD
+    never see them.
     """
     f = factors.svd
+    epsilon = factors.config.epsilon
     key = (factors.L, epsilon)
     if key not in f._operators:
         keep = f.sigma * np.sqrt(factors.L) > epsilon
@@ -191,9 +191,7 @@ def solve_operators(
     return f._operators[key]
 
 
-def solve_coefficients(
-    factors: ReferenceFactors, samples: np.ndarray, epsilon: float | None = None
-) -> np.ndarray:
+def solve_coefficients(factors: ReferenceFactors, samples: np.ndarray) -> np.ndarray:
     """Truncated-SVD solve for window coefficients, one window or a stack.
 
     ``samples`` is one window of m values or a (k, m) stack of windows; the
@@ -213,17 +211,14 @@ def solve_coefficients(
     component has the same roundoff class as projecting first and dividing
     afterwards.
 
-    A direction j is retained when ``sigma_j * sqrt(L) > epsilon``: the
+    A direction j is retained when ``sigma_j * sqrt(L) > epsilon``, with
+    epsilon the factors' ``config.epsilon`` (positive by construction): the
     threshold is calibrated to the unnormalized node system exp(1j*l*t_i).
     The 1/sqrt(L) matrix scaling keeps the factorization well-scaled but must
     not move the truncation point, otherwise directions that carry real
     signal at the default epsilon are discarded and the quadrature loses two
     to three digits on marginally resolved oscillatory data.
     """
-    if epsilon is None:
-        epsilon = factors.config.epsilon
-    if not epsilon > 0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     g = np.asarray(samples)
     real = not np.iscomplexobj(g)
     g = g.astype(float if real else complex, copy=False)
@@ -233,7 +228,7 @@ def solve_coefficients(
         )
     if not np.isfinite(g).all():
         raise InvalidInputError("samples contain non-finite values")
-    projector, synthesis = solve_operators(factors, epsilon)
+    projector, synthesis = solve_operators(factors)
     if real:
         # the float view of the projector holds (re, im) pairs, so the real
         # product comes out as the complex projection laid out pairwise

@@ -11,7 +11,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,7 +235,6 @@ class SweepSpec:
     params: tuple[tuple[str, float], ...] = ()
     M_values: tuple[int, ...] = ()
     methods: tuple[str, ...] = ("lfe",)
-    config: WindowConfig = field(default_factory=WindowConfig)
 
     def __post_init__(self):
         for M in self.M_values:
@@ -266,7 +265,7 @@ def _run_method(
         return clenshaw_curtis(entry.evaluator, a, b, samples.grid.M)
     if method == "simpson":
         return simpson(samples)
-    report = integrate(samples, factors.config, factors)
+    report = integrate(samples, factors.config)
     if method == "lfe_corrected":
         try:
             report = correct(report, samples, factors)
@@ -287,7 +286,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     runtime_ms includes those evaluations.
     """
     entry = registry_lookup(spec.function, dict(spec.params))
-    factors = build_reference(spec.config)
+    factors = build_reference(WindowConfig())
     rows = []
     for M in spec.M_values:
         samples = SampledFunction.from_function(entry.evaluator, *entry.domain, M)

@@ -56,6 +56,19 @@ class TestIntegrateCommand:
         assert code == 0
         float(capsys.readouterr().out.strip())
 
+    def test_correct_with_custom_parameters(self, tmp_path, capsys):
+        # the corrector refits with the factors of the same non-default config
+        xi = 0.3
+        f = lambda x: 1 / (1 + x**2) + math.sin(5 * x) + max(x - xi, 0.0)
+        exact = math.pi / 4 + (1 - math.cos(5)) / 5 + 0.5 * (1 - xi) ** 2
+        path = _write_samples(tmp_path, f, 0.0, 1.0, 333)
+        code = main(["integrate", "--input", str(path), "--n", "8", "--T", "5.0",
+                     "--epsilon", "1e-13", "--correct", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["corrected_windows"] == [6]
+        assert abs(payload["value"] - exact) <= 1e-12
+
     def test_nonuniform_csv_fails_with_category(self, tmp_path, capsys):
         lines = ["x,f", "0.0,1.0", "0.1,1.0", "0.21,1.0", "0.3,1.0"]
         path = tmp_path / "bad.csv"

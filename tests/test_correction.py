@@ -8,6 +8,8 @@ from lfequad import (
     LocalExpansion,
     SampledFunction,
     SvdFactors,
+    WindowConfig,
+    build_reference,
     correct,
     detect,
     estimate_xi,
@@ -20,6 +22,7 @@ from lfequad import (
 from lfequad.correction import _BISECT_ITERS
 from lfequad.reference import evaluate_expansion
 from lfequad.errors import (
+    ConfigError,
     DetectionUnavailableError,
     InvalidInputError,
     PredictionFailedError,
@@ -88,6 +91,20 @@ class TestDetect:
     def test_zero_data_flags_nothing(self, config):
         samples = SampledFunction.from_function(np.zeros_like, 0.0, 1.0, 160)
         assert detect(integrate(samples, config)).flagged == ()
+
+    @pytest.mark.parametrize(
+        "kink,M,flagged", [(0.9, 200, ()), (0.75, 200, (7,)), (0.75, 203, (7,))]
+    )
+    def test_zero_majority_uses_nonzero_median(self, config, factors, kink, M, flagged):
+        # max(x - kink, 0) has all-zero windows left of the kink; when they
+        # are the majority, a median over every window is 0 and would flag
+        # each smooth window right of the kink as well
+        samples = SampledFunction.from_function(lambda x: np.maximum(x - kink, 0.0), 0, 1, M)
+        rep = integrate(samples, config)
+        assert detect(rep).flagged == flagged
+        out = correct(rep, samples, factors)
+        assert tuple(c.window_index for c in out.corrections) == flagged
+        assert abs(out.value - (1 - kink) ** 2 / 2) <= 1e-15
 
 
 class TestLocalize:
@@ -359,6 +376,17 @@ class TestCorrect:
         finally:
             tracemalloc.stop()
         assert grown < 500 * 8
+
+    @pytest.mark.parametrize(
+        "other", [WindowConfig(n=8, m=17), WindowConfig(epsilon=1e-13)], ids=["n-m", "epsilon"]
+    )
+    def test_factors_of_another_config_rejected(self, config, other):
+        # refitting a flagged window with another fit mixes two quadratures
+        # (n=8, m=17 on this report moves the error from 8e-6 to 6e-2)
+        _, samples, rep = _report("f7", {"xi": 0.3}, 640, config)
+        with pytest.raises(ConfigError) as exc:
+            correct(rep, samples, build_reference(other))
+        assert exc.value.category == "invalid-config"
 
     def test_prediction_failure_leaves_window_uncorrected(self, config, factors, monkeypatch):
         entry, samples, rep = _report("f7", {"xi": 0.3}, 160, config)

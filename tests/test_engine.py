@@ -6,14 +6,13 @@ from lfequad import (
     SampledFunction,
     UniformGrid,
     WindowConfig,
-    build_reference,
     integrate,
     mode_weights,
     plan_windows,
     registry_lookup,
     solve_coefficients,
 )
-from lfequad.errors import ConfigError, GridError, InvalidInputError, NonFiniteResultError
+from lfequad.errors import GridError, InvalidInputError, NonFiniteResultError
 
 F1 = lambda x: 3 * x**2 - np.exp(-x) - 2 * np.sin(2 * x)
 F1_PRIM = lambda x: x**3 + np.exp(-x) + np.cos(2 * x)
@@ -35,7 +34,6 @@ class TestPlanWindows:
         full, tail = plan.windows
         assert (full.start, full.kind, full.block) == (0, "full", (0, 20))
         assert (tail.start, tail.kind, tail.block) == (10, "tail", (20, 30))
-        assert tail.t_lo == pytest.approx(np.pi / 6, abs=1e-15)
 
     def test_small_grid_plan(self, config):
         plan = plan_windows(UniformGrid(0, 1, 10), config)
@@ -46,9 +44,7 @@ class TestPlanWindows:
         plus = plan_windows(UniformGrid(0, 1, 41), config)
         assert len(plus.windows) == len(base.windows) + 1
         tail = plus.windows[-1]
-        assert tail.kind == "tail"
-        assert tail.t_lo == pytest.approx(config.lam * 19 / 20, abs=1e-15)
-        assert tail.block == (40, 41)
+        assert (tail.start, tail.kind, tail.block) == (21, "tail", (40, 41))
 
     @given(M=st.integers(1, 500))
     def test_blocks_tile_grid_exactly(self, M):
@@ -169,12 +165,6 @@ class TestIntegrate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResultError):
                 integrate(s, config)
-
-    def test_mismatched_factors_rejected(self, config):
-        other = build_reference(WindowConfig(n=3, m=7))
-        s = SampledFunction.from_function(F1, 0.1, 1.5, 40)
-        with pytest.raises(ConfigError):
-            integrate(s, config, factors=other)
 
     def test_nonfinite_values_rejected(self):
         grid = UniformGrid(0, 1, 30)

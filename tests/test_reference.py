@@ -145,10 +145,11 @@ class TestSolveCoefficients:
         with pytest.raises(InvalidInputError):
             solve_coefficients(factors, g)
 
-    def test_regularization_monotonicity(self, factors, rng):
+    def test_regularization_monotonicity(self, config, factors, rng):
         g = rng.normal(size=21)
-        loose = np.linalg.norm(solve_coefficients(factors, g, 1e-8))
-        tight = np.linalg.norm(solve_coefficients(factors, g, 1e-15))
+        loose_factors = build_reference(replace(config, epsilon=1e-8))
+        loose = np.linalg.norm(solve_coefficients(loose_factors, g))
+        tight = np.linalg.norm(solve_coefficients(factors, g))  # epsilon 1e-15
         assert tight >= loose
 
     @pytest.mark.parametrize("kind", [float, complex])
@@ -168,7 +169,9 @@ class TestSolveCoefficients:
         with pytest.raises(DimensionMismatchError):
             solve_coefficients(factors, np.zeros((2, 3, 21)))
 
-    @pytest.mark.parametrize("M", [200, 206, 219])  # M mod 20 = 0, 6, 19
+    # M mod 20 = 0, 6, 19; M = 30 and 41 put the tail window's weight range
+    # at lam/2 and 19*lam/20 (one cell) of the reference interval
+    @pytest.mark.parametrize("M", [200, 206, 219, 30, 41])
     def test_window_loop_matches_batched_contributions(self, config, factors, M):
         entry = registry_lookup("f1", {})
         samples = SampledFunction.from_function(entry.evaluator, *entry.domain, M)
@@ -198,18 +201,18 @@ class TestSolveCoefficients:
         if kind is complex:
             g = g + 1j * np.cos(5 * x)
         windows = g[np.arange(10)[:, None] * 20 + np.arange(21)]
-        eps = config.epsilon if epsilon is None else epsilon
-        f = factors.svd
-        keep = f.sigma * np.sqrt(factors.L) > eps
+        fit = factors if epsilon is None else build_reference(replace(config, epsilon=epsilon))
+        f = fit.svd
+        keep = f.sigma * np.sqrt(fit.L) > fit.config.epsilon
         y = windows @ f.u[:, keep].conj()
         y /= f.sigma[keep]
         oracle = y @ f.v[:, keep].T
-        folded = solve_coefficients(factors, windows, epsilon)
+        folded = solve_coefficients(fit, windows)
         w = mode_weights(config, 0.0).weights
         q_oracle, q_folded = oracle @ w, folded @ w
         assert np.max(np.abs(q_folded - q_oracle)) <= 1e-14 * np.max(np.abs(q_oracle))
 
-    def test_operators_derived_once_per_factorization(self, config, factors):
+    def test_operators_derived_once_per_factorization(self, config, factors, monkeypatch):
         class CountingDict(dict):
             stores = 0
 
@@ -221,23 +224,25 @@ class TestSolveCoefficients:
         counting = CountingDict()
         object.__setattr__(svd, "_operators", counting)
         fresh = replace(factors, svd=svd)
+        loose = replace(fresh, config=replace(config, epsilon=1e-8))  # same SVD
+        monkeypatch.setattr("lfequad.engine.build_reference", lambda c: replace(fresh, config=c))
         samples = SampledFunction.from_function(np.cos, 0.0, 1.0, 219)
         for _ in range(3):
-            integrate(samples, config, factors=fresh)
-            solve_coefficients(fresh, samples.values[:21], 1e-8)
+            integrate(samples, config)
+            solve_coefficients(loose, samples.values[:21])
         assert counting.stores == 2  # the default epsilon and 1e-8
-        first = solve_operators(fresh, 1e-8)
-        assert all(a is b for a, b in zip(first, solve_operators(fresh, 1e-8)))
+        first = solve_operators(loose)
+        assert all(a is b for a, b in zip(first, solve_operators(loose)))
         assert counting.stores == 2
 
     def test_equal_configs_share_operators(self, config, factors, rng):
         solve_coefficients(factors, rng.normal(size=21))
         rebuilt = build_reference(WindowConfig(T=6))
-        shared = zip(solve_operators(factors, 1e-15), solve_operators(rebuilt, 1e-15))
+        shared = zip(solve_operators(factors), solve_operators(rebuilt))
         assert all(a is b for a, b in shared)
 
     def test_operators_are_contiguous_and_folded(self, factors):
-        projector, synthesis = solve_operators(factors, 1e-15)
+        projector, synthesis = solve_operators(factors)  # epsilon 1e-15
         f = factors.svd
         r = int(np.count_nonzero(f.sigma * np.sqrt(factors.L) > 1e-15))
         assert projector.shape == (21, r) and synthesis.shape == (r, 21)
