@@ -93,13 +93,16 @@ def detect(report: QuadratureReport) -> DetectionReport:
 
     The median runs over the nonzero energies only: windows of all-zero data
     have zero energy, and when they are the majority a plain median of 0
-    would flag every other window. With no nonzero energy nothing is flagged.
+    would flag every other window. With no nonzero energy the data is zero
+    and nothing is flagged.
 
-    Needs at least three windows; with fewer, there is no meaningful median
-    and the caller should keep the uncorrected result. The same holds when
-    the energies left the float range: a non-finite threshold (energies
-    overflowed) or all-zero energies beside a nonzero window integral
-    (energies underflowed) cannot tell a kink from a smooth window.
+    Needs at least three windows, and at least three of nonzero energy when
+    any is nonzero; with fewer, the median is the kink window's own energy
+    or about half of it, so no kink can be told apart, and the caller should
+    keep the uncorrected result. The same holds when the energies left the
+    float range: a non-finite threshold (energies overflowed) or all-zero
+    energies beside a nonzero window integral (energies underflowed) cannot
+    tell a kink from a smooth window.
     """
     etas = report.etas
     if etas.size < 3:
@@ -107,6 +110,10 @@ def detect(report: QuadratureReport) -> DetectionReport:
             f"detection needs >= 3 windows, got {etas.size}"
         )
     nonzero = etas[etas != 0]
+    if 0 < nonzero.size < 3:
+        raise DetectionUnavailableError(
+            f"detection needs >= 3 windows of nonzero data, got {nonzero.size}"
+        )
     threshold = DETECTION_RATIO * float(np.median(nonzero)) if nonzero.size else 0.0
     if not np.isfinite(threshold):
         raise DetectionUnavailableError(

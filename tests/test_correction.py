@@ -92,9 +92,7 @@ class TestDetect:
         samples = SampledFunction.from_function(np.zeros_like, 0.0, 1.0, 160)
         assert detect(integrate(samples, config)).flagged == ()
 
-    @pytest.mark.parametrize(
-        "kink,M,flagged", [(0.9, 200, ()), (0.75, 200, (7,)), (0.75, 203, (7,))]
-    )
+    @pytest.mark.parametrize("kink,M,flagged", [(0.75, 200, (7,)), (0.75, 203, (7,))])
     def test_zero_majority_uses_nonzero_median(self, config, factors, kink, M, flagged):
         # max(x - kink, 0) has all-zero windows left of the kink; when they
         # are the majority, a median over every window is 0 and would flag
@@ -105,6 +103,19 @@ class TestDetect:
         out = correct(rep, samples, factors)
         assert tuple(c.window_index for c in out.corrections) == flagged
         assert abs(out.value - (1 - kink) ** 2 / 2) <= 1e-15
+
+    @pytest.mark.parametrize("kink", [0.85, 0.9, 0.95])
+    def test_fewer_than_three_nonzero_windows_unavailable(self, config, factors, kink):
+        # at M=200 window k spans [k/10, (k+1)/10]: only windows 8 and 9 (0.85)
+        # or window 9 alone (0.9 smooth, 0.95 kinked) hold nonzero data, and a
+        # median over one or two energies cannot single out a kink window
+        samples = SampledFunction.from_function(lambda x: np.maximum(x - kink, 0.0), 0, 1, 200)
+        rep = integrate(samples, config)
+        assert np.count_nonzero(rep.etas) == (2 if kink < 0.9 else 1)
+        with pytest.raises(DetectionUnavailableError):
+            detect(rep)
+        with pytest.raises(DetectionUnavailableError):
+            correct(rep, samples, factors)
 
 
 class TestLocalize:
