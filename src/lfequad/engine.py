@@ -232,6 +232,8 @@ def integrate(samples: SampledFunction, config: WindowConfig | None = None) -> Q
     ------
     GridError
         When the grid has fewer than 3 nodes.
+    ConfigError
+        When ``config.epsilon`` truncates every singular direction of the fit.
     NonFiniteResultError
         When the total is not finite (sample magnitudes near the float
         range overflow the fits).

@@ -40,8 +40,8 @@ class WindowConfig:
             raise ConfigError(f"mode half-count must be >= 1, got {self.n}")
         if self.m < 2 * self.n + 1:
             raise ConfigError(f"m={self.m} underdetermines 2n+1={2 * self.n + 1} modes")
-        if not self.T > 1:
-            raise ConfigError(f"extension ratio must exceed 1, got {self.T}")
+        if not 1 < self.T < np.inf:
+            raise ConfigError(f"extension ratio must be finite and exceed 1, got {self.T}")
         if not self.epsilon > 0:
             raise ConfigError(f"truncation threshold must be positive, got {self.epsilon}")
 
@@ -66,15 +66,12 @@ class SvdFactors:
 
     ``u`` is (rows, r), ``v`` is (cols, r), ``sigma`` is (r,) sorted
     descending with r = min(rows, cols). Columns of ``u`` and ``v`` are
-    orthonormal to roundoff. ``_operators`` caches the truncated solve
-    operators derived from this factorization, one entry per (L, epsilon)
-    (see solve_operators); a new factorization starts with none.
+    orthonormal to roundoff.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def svd(a: np.ndarray) -> SvdFactors:
@@ -94,11 +91,33 @@ def svd(a: np.ndarray) -> SvdFactors:
 
 @dataclass(frozen=True)
 class ReferenceFactors:
-    """Node matrix on the reference interval together with its SVD."""
+    """Node matrix on the reference interval, its SVD and the solve operators.
+
+    ``projector`` and ``synthesis`` are the offline half of the truncated
+    solve (see solve_coefficients), derived from ``svd`` on construction:
+    the folded projector ``conj(U_k) / sigma_k`` (m, r), stored as its
+    C-contiguous (m, 2r) float view of interleaved real and imaginary parts,
+    and the synthesis matrix ``V_k^T`` (r, 2n+1). ``replace(factors,
+    svd=...)`` derives them anew from the new factorization.
+    """
 
     config: WindowConfig
     matrix: np.ndarray  # (m, 2n+1), entry (i, l) = exp(1j*l*t_i)/sqrt(L)
     svd: SvdFactors
+    projector: np.ndarray = field(init=False, repr=False, compare=False)
+    synthesis: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        f = self.svd
+        keep = f.sigma * np.sqrt(self.L) > self.config.epsilon
+        if not keep.any():
+            raise ConfigError(
+                f"epsilon={self.config.epsilon} keeps no singular direction "
+                f"(largest sigma*sqrt(L) is {f.sigma[0] * np.sqrt(self.L):.4g})"
+            )
+        projector = np.ascontiguousarray(f.u[:, keep].conj() / f.sigma[keep])
+        object.__setattr__(self, "projector", projector.view(float))
+        object.__setattr__(self, "synthesis", np.ascontiguousarray(f.v[:, keep].T))
 
     @property
     def L(self) -> float:
@@ -111,24 +130,17 @@ class ReferenceFactors:
 
 
 @lru_cache(maxsize=32)
-def _build(n: int, m: int, T: float) -> tuple[np.ndarray, SvdFactors]:
-    lam = 2.0 * np.pi / T
-    L = T * (m - 1)
-    t = np.arange(m) * (lam / (m - 1))
-    ell = np.arange(-n, n + 1)
-    matrix = np.exp(1j * np.outer(t, ell)) / np.sqrt(L)
-    return matrix, svd(matrix)
-
-
 def build_reference(config: WindowConfig) -> ReferenceFactors:
-    """Build (or fetch from cache) the reference matrix and its SVD.
+    """Build (or fetch from cache) the reference matrix, its SVD and operators.
 
-    The factorization depends only on (n, m, T), so configs that differ
-    only in epsilon share it; the solve truncates at ``config.epsilon``.
-    Rebuilding with an equal config returns bitwise-identical factors.
+    One cached ReferenceFactors per config: equal configs return the same
+    object, and each distinct config (epsilon included) factors its own
+    matrix. The factorization is deterministic, so configs that differ only
+    in epsilon hold bitwise-identical SVDs.
     """
-    matrix, factors = _build(config.n, config.m, float(config.T))
-    return ReferenceFactors(config=config, matrix=matrix, svd=factors)
+    t = np.arange(config.m) * (config.lam / (config.m - 1))
+    matrix = np.exp(1j * np.outer(t, config.modes)) / np.sqrt(config.L)
+    return ReferenceFactors(config=config, matrix=matrix, svd=svd(matrix))
 
 
 @dataclass(frozen=True)
@@ -168,39 +180,16 @@ def mode_weights(config: WindowConfig, t_lo: float, t_hi: float | None = None) -
     return ModeWeights(weights=w, t_lo=float(t_lo), t_hi=float(t_hi))
 
 
-def solve_operators(factors: ReferenceFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Offline half of the solve: the projector and synthesis matrix.
-
-    Keeps the directions with ``sigma_j * sqrt(L) > epsilon``, epsilon being
-    ``factors.config.epsilon``, and returns the folded projector
-    ``conj(U_k) / sigma_k`` (m, r) and the synthesis matrix ``V_k^T``
-    (r, 2n+1), both C-contiguous. They are derived once per factorization,
-    L and epsilon, and kept on the factorization, so equal configs (which
-    share one factorization) reuse them and factors holding another SVD
-    never see them.
-    """
-    f = factors.svd
-    epsilon = factors.config.epsilon
-    key = (factors.L, epsilon)
-    if key not in f._operators:
-        keep = f.sigma * np.sqrt(factors.L) > epsilon
-        f._operators[key] = (
-            np.ascontiguousarray(f.u[:, keep].conj() / f.sigma[keep]),
-            np.ascontiguousarray(f.v[:, keep].T),
-        )
-    return f._operators[key]
-
-
 def solve_coefficients(factors: ReferenceFactors, samples: np.ndarray) -> np.ndarray:
     """Truncated-SVD solve for window coefficients, one window or a stack.
 
-    ``samples`` is one window of m values or a (k, m) stack of windows; the
-    result is (2n+1,) or (k, 2n+1) accordingly. The solve is two products
-    with the operators of solve_operators: project the data with the folded
-    projector ``conj(U_k) / sigma_k``, then synthesize with ``V_k^T``. Real
-    samples are projected with a real product against the interleaved real
-    and imaginary parts of the projector, so they are never copied to
-    complex.
+    ``samples`` is one window of m real values or a (k, m) stack of windows;
+    the result is (2n+1,) or (k, 2n+1) accordingly. The solve is two products
+    with the factors' operators: project the data with the folded projector
+    ``conj(U_k) / sigma_k``, then synthesize with ``V_k^T``. The projection
+    is a real product against the projector's interleaved real and imaginary
+    parts, so the samples are never copied to complex. Complex samples are
+    rejected.
 
     Forbidden: any sum over singular directions formed before the data are
     applied, that is the merged pseudoinverse ``V_k Sigma_k^-1 U_k^H`` or a
@@ -220,22 +209,18 @@ def solve_coefficients(factors: ReferenceFactors, samples: np.ndarray) -> np.nda
     to three digits on marginally resolved oscillatory data.
     """
     g = np.asarray(samples)
-    real = not np.iscomplexobj(g)
-    g = g.astype(float if real else complex, copy=False)
+    if np.iscomplexobj(g):
+        raise InvalidInputError("samples must be real")
+    g = g.astype(float, copy=False)
     if g.ndim not in (1, 2) or g.shape[-1] != factors.config.m:
         raise DimensionMismatchError(
             f"expected {factors.config.m} samples per window, got shape {g.shape}"
         )
     if not np.isfinite(g).all():
         raise InvalidInputError("samples contain non-finite values")
-    projector, synthesis = solve_operators(factors)
-    if real:
-        # the float view of the projector holds (re, im) pairs, so the real
-        # product comes out as the complex projection laid out pairwise
-        y = (g @ projector.view(float)).view(complex)
-    else:
-        y = g @ projector
-    return y @ synthesis
+    # the float view of the projector holds (re, im) pairs, so the real
+    # product comes out as the complex projection laid out pairwise
+    return (g @ factors.projector).view(complex) @ factors.synthesis
 
 
 @dataclass(frozen=True)

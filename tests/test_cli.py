@@ -108,6 +108,19 @@ class TestIntegrateCommand:
         assert main(["integrate", "--input", str(path)]) == 4
         assert "non-finite-result" in capsys.readouterr().err
 
+    # a truncation above sigma_max*sqrt(L) = 10.95 keeps no direction, and an
+    # infinite extension ratio has no reference interval: both are config
+    # errors, not a printed 0.0 or an input error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option,value", [("--epsilon", "20"), ("--epsilon", "inf"),
+                                              ("--T", "inf")])
+    def test_unusable_config_fails_with_category(self, tmp_path, capsys, option, value):
+        path = _write_samples(tmp_path, F1, 0.1, 1.5, 40)
+        assert main(["integrate", "--input", str(path), option, value]) == 4
+        captured = capsys.readouterr()
+        assert "error[invalid-config]" in captured.err
+        assert captured.out == ""
+
 
 class TestBenchCommand:
     def test_function_sweep_to_stdout(self, capsys):

@@ -230,8 +230,8 @@ def _linear_branches(factors, config, crossing):
     scale = (config.T / (2 * np.pi)) * 20 * h
     f_left = 1.0 + (grid_nodes - crossing)
     f_right = 1.0 - (grid_nodes - crossing)
-    cl = solve_coefficients(factors, f_left[61:82].astype(complex))
-    cr = solve_coefficients(factors, f_right[80:101].astype(complex))
+    cl = solve_coefficients(factors, f_left[61:82])
+    cr = solve_coefficients(factors, f_right[80:101])
     left = LocalExpansion(cl, scale, grid_nodes[61], factors.L)
     right = LocalExpansion(cr, scale, grid_nodes[80], factors.L)
     return left, right, (grid_nodes[80], grid_nodes[81])

@@ -19,7 +19,6 @@ from lfequad import (
     solve_coefficients,
 )
 from lfequad.errors import ConfigError, DimensionMismatchError, InvalidInputError
-from lfequad.reference import solve_operators
 
 LAM = np.pi / 3  # sampled reference interval for T=6
 
@@ -34,6 +33,7 @@ class TestWindowConfig:
             dict(epsilon=0.0),
             dict(epsilon=-1e-15),
             dict(n=10, m=20),
+            dict(T=np.inf),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -67,6 +67,25 @@ class TestBuildReference:
         assert np.array_equal(a.svd.u, b.svd.u)
         assert np.array_equal(a.svd.sigma, b.svd.sigma)
         assert np.array_equal(a.svd.v, b.svd.v)
+
+    def test_equal_configs_share_one_cached_factorization(self):
+        assert build_reference(WindowConfig()) is build_reference(WindowConfig(T=6))
+
+    def test_epsilon_variants_are_distinct_and_truncate_more(self, config, factors):
+        loose = build_reference(replace(config, epsilon=1e-8))
+        assert loose is not factors
+        assert loose is build_reference(replace(config, epsilon=1e-8))
+        assert loose.synthesis.shape[0] < factors.synthesis.shape[0]
+        assert np.array_equal(loose.svd.sigma, factors.svd.sigma)
+
+    # sigma_max * sqrt(L) is 10.95 at the default n, m, T
+    @pytest.mark.parametrize("epsilon", [20.0, np.inf])
+    def test_epsilon_keeping_no_direction_rejected(self, config, epsilon):
+        with pytest.raises(ConfigError, match="keeps no singular direction"):
+            build_reference(replace(config, epsilon=epsilon))
+        samples = SampledFunction.from_function(np.cos, 0.0, 1.0, 100)
+        with pytest.raises(ConfigError):
+            integrate(samples, replace(config, epsilon=epsilon))
 
 
 class TestModeWeights:
@@ -130,7 +149,7 @@ class TestSolveCoefficients:
         assert np.linalg.norm(c12 - (c1 + c2)) <= 1e-13 * np.linalg.norm(c12)
 
     def test_in_span_target_reconstructs_at_nodes(self, factors):
-        g = np.exp(1j * factors.nodes)
+        g = np.cos(factors.nodes)
         c = solve_coefficients(factors, g)
         recon = factors.matrix @ c
         assert np.max(np.abs(recon - g)) <= 1e-12
@@ -138,6 +157,10 @@ class TestSolveCoefficients:
     def test_wrong_length_rejected(self, factors):
         with pytest.raises(DimensionMismatchError):
             solve_coefficients(factors, np.zeros(20))
+
+    def test_complex_samples_rejected(self, factors):
+        with pytest.raises(InvalidInputError):
+            solve_coefficients(factors, np.ones(21, dtype=complex))
 
     def test_nonfinite_rejected(self, factors):
         g = np.zeros(21)
@@ -152,11 +175,9 @@ class TestSolveCoefficients:
         tight = np.linalg.norm(solve_coefficients(factors, g))  # epsilon 1e-15
         assert tight >= loose
 
-    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("kind", [float])
     def test_stack_matches_row_by_row(self, factors, rng, kind):
-        g = rng.normal(size=(7, 21))
-        if kind is complex:
-            g = g + 1j * rng.normal(size=(7, 21))
+        g = rng.normal(size=(7, 21)).astype(kind)
         stacked = solve_coefficients(factors, g)
         assert stacked.shape == (7, 21)
         for row, c in zip(g, stacked):
@@ -190,16 +211,12 @@ class TestSolveCoefficients:
         assert np.max(np.abs(report.contributions - loop)) <= tol
         assert abs(report.value - loop.sum()) <= 1e-14 * abs(report.value)
 
-    @pytest.mark.parametrize(
-        "kind,epsilon", [(float, None), (complex, None), (float, 1e-8), (complex, 1e-11)]
-    )
+    @pytest.mark.parametrize("kind,epsilon", [(float, None), (float, 1e-8)])
     def test_folded_solve_matches_three_stage_oracle(self, config, factors, kind, epsilon):
         # oracle: project onto conj(U_k), divide by sigma_k, synthesize with
         # V_k^T, as three separate stages
         x = 0.1 + np.arange(201) * (1.4 / 200)
-        g = 3 * x**2 - np.exp(-x) - 2 * np.sin(2 * x)
-        if kind is complex:
-            g = g + 1j * np.cos(5 * x)
+        g = (3 * x**2 - np.exp(-x) - 2 * np.sin(2 * x)).astype(kind)
         windows = g[np.arange(10)[:, None] * 20 + np.arange(21)]
         fit = factors if epsilon is None else build_reference(replace(config, epsilon=epsilon))
         f = fit.svd
@@ -212,42 +229,14 @@ class TestSolveCoefficients:
         q_oracle, q_folded = oracle @ w, folded @ w
         assert np.max(np.abs(q_folded - q_oracle)) <= 1e-14 * np.max(np.abs(q_oracle))
 
-    def test_operators_derived_once_per_factorization(self, config, factors, monkeypatch):
-        class CountingDict(dict):
-            stores = 0
-
-            def __setitem__(self, key, value):
-                self.stores += 1
-                super().__setitem__(key, value)
-
-        svd = SvdFactors(u=factors.svd.u, sigma=factors.svd.sigma, v=factors.svd.v)
-        counting = CountingDict()
-        object.__setattr__(svd, "_operators", counting)
-        fresh = replace(factors, svd=svd)
-        loose = replace(fresh, config=replace(config, epsilon=1e-8))  # same SVD
-        monkeypatch.setattr("lfequad.engine.build_reference", lambda c: replace(fresh, config=c))
-        samples = SampledFunction.from_function(np.cos, 0.0, 1.0, 219)
-        for _ in range(3):
-            integrate(samples, config)
-            solve_coefficients(loose, samples.values[:21])
-        assert counting.stores == 2  # the default epsilon and 1e-8
-        first = solve_operators(loose)
-        assert all(a is b for a, b in zip(first, solve_operators(loose)))
-        assert counting.stores == 2
-
-    def test_equal_configs_share_operators(self, config, factors, rng):
-        solve_coefficients(factors, rng.normal(size=21))
-        rebuilt = build_reference(WindowConfig(T=6))
-        shared = zip(solve_operators(factors), solve_operators(rebuilt))
-        assert all(a is b for a, b in shared)
-
     def test_operators_are_contiguous_and_folded(self, factors):
-        projector, synthesis = solve_operators(factors)  # epsilon 1e-15
+        projector, synthesis = factors.projector, factors.synthesis  # epsilon 1e-15
         f = factors.svd
         r = int(np.count_nonzero(f.sigma * np.sqrt(factors.L) > 1e-15))
-        assert projector.shape == (21, r) and synthesis.shape == (r, 21)
+        assert projector.shape == (21, 2 * r) and synthesis.shape == (r, 21)
+        assert projector.dtype == float
         assert projector.flags.c_contiguous and synthesis.flags.c_contiguous
-        assert np.array_equal(projector, f.u[:, :r].conj() / f.sigma[:r])
+        assert np.array_equal(projector.view(complex), f.u[:, :r].conj() / f.sigma[:r])
         assert np.array_equal(synthesis, f.v[:, :r].T)
 
     def test_replaced_svd_is_solved_with(self, factors, rng):
@@ -255,7 +244,7 @@ class TestSolveCoefficients:
         # the truncation point, which this case checks it does not
         f = factors.svd
         g = rng.normal(size=(3, 21))
-        before = solve_coefficients(factors, g)  # fills the original's operators
+        before = solve_coefficients(factors, g)
         halved = replace(factors, svd=SvdFactors(u=f.u, sigma=f.sigma / 2, v=f.v))
         scaled = np.sqrt(factors.L)
         assert np.count_nonzero(f.sigma * scaled > 1e-15) == np.count_nonzero(
@@ -268,7 +257,7 @@ class TestSolveCoefficients:
 def _expansion_from_samples(factors, samples, origin=0.4, h=0.01):
     cfg = factors.config
     scale = (cfg.T / (2 * np.pi)) * (cfg.m - 1) * h
-    c = solve_coefficients(factors, np.asarray(samples, dtype=complex))
+    c = solve_coefficients(factors, samples)
     return LocalExpansion(coefficients=c, scale=scale, origin=origin, L=factors.L)
 
 
